@@ -57,7 +57,7 @@ def _check_version_lists(machine: "Machine") -> list[str]:
 def _check_paddr_accounting(machine: "Machine") -> list[str]:
     """Live blocks and the free list must partition the paddr space."""
     problems = []
-    free = machine.free_list._free
+    free = machine.free_list.paddrs()
     free_set = set(free)
     if len(free_set) != len(free):
         problems.append("free list contains duplicate paddrs")
@@ -130,7 +130,7 @@ def _check_memo(machine: "Machine") -> list[str]:
 
 def _check_gc_lists(machine: "Machine") -> list[str]:
     problems = []
-    free_set = set(machine.free_list._free)
+    free_set = set(machine.free_list.paddrs())
     for kind, pairs in (
         ("shadowed", machine.gc._shadowed),
         ("pending", machine.gc._pending),

@@ -27,7 +27,7 @@ sentinels shrink the representable offset range to ``[0, 2**14 - 2]``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from ..errors import SimulationError
 
@@ -58,6 +58,12 @@ class CompressedLine:
     entries subject to the base-range restriction.  ``value`` must fit the
     32-bit data field for :meth:`encode`; the behavioural model accepts any
     value (the manager stores simulated pointers, which fit).
+
+    Because the base is the upper bits of the lowest value, a set of
+    versions and lockers fits one line exactly when every value lies in
+    the same :data:`RANGE`-aligned window at an offset of at most
+    :data:`MAX_OFFSET`.  Every resident therefore sits in window ``base``,
+    and the range check is a comparison against ``base``, not a scan.
     """
 
     __slots__ = ("base", "line_offset", "_entries", "_lru", "_tick")
@@ -84,31 +90,6 @@ class CompressedLine:
     def window_start(self) -> int:
         return self.base << VERSION_OFFSET_BITS
 
-    def _fits_window(self, versions: Iterable[int], lockers: Iterable[int]) -> bool:
-        vals = list(versions) + list(lockers)
-        if not vals:
-            return True
-        lo, hi = min(vals), max(vals)
-        # The base is the *upper 18 bits* of the lowest value, so offsets
-        # are relative to the quantized window start, not to the minimum.
-        window_start = (lo >> VERSION_OFFSET_BITS) << VERSION_OFFSET_BITS
-        return hi - window_start <= MAX_OFFSET and (lo >> VERSION_OFFSET_BITS) < (
-            1 << VERSION_BASE_BITS
-        )
-
-    def _rebase(self) -> None:
-        """Recompute base from the lowest version/locker present."""
-        vals = list(self._entries)
-        for _, locked_by in self._entries.values():
-            if locked_by is not None:
-                vals.append(locked_by)
-        if vals:
-            self.base = min(vals) >> VERSION_OFFSET_BITS
-            lo = self.base << VERSION_OFFSET_BITS
-            # The base's window must still reach the highest offset.
-            if max(vals) - lo > MAX_OFFSET:
-                raise SimulationError("rebase failed: window overflow")
-
     def get(self, version: int) -> tuple[Any, int | None] | None:
         """Direct-access hit check; refreshes internal LRU on a hit."""
         e = self._entries.get(version)
@@ -120,48 +101,37 @@ class CompressedLine:
     def put(self, version: int, value: Any, locked_by: int | None) -> bool:
         """Insert or update an entry; returns False if it cannot be cached.
 
-        Evicts least-recently-used entries when the line is full or when
-        the new entry cannot share a window with the residents.  An entry
-        whose own version/locker pair does not fit any window (locker more
-        than ``MAX_OFFSET`` away from the version) is rejected outright.
+        Evicts the least-recently-used entry when the line is full, and
+        every resident when the new entry lies in another window.  An
+        entry whose own version/locker pair does not fit one window is
+        rejected outright.
         """
-        own = [version] + ([locked_by] if locked_by is not None else [])
-        if not self._fits_window(own, []):
+        window = version >> VERSION_OFFSET_BITS
+        if (
+            window >= 1 << VERSION_BASE_BITS
+            or version - (window << VERSION_OFFSET_BITS) > MAX_OFFSET
+            or locked_by is not None
+            and (
+                locked_by >> VERSION_OFFSET_BITS != window
+                or locked_by - (window << VERSION_OFFSET_BITS) > MAX_OFFSET
+            )
+        ):
             return False
 
-        if version in self._entries:
-            self._entries[version] = (value, locked_by)
-            # A new lock value may break the window; evict others if needed.
-            self._evict_until_fits(keep=version)
-            self._tick += 1
-            self._lru[version] = self._tick
-            self._rebase()
-            return True
-
-        while len(self._entries) >= ENTRIES_PER_LINE:
-            self._evict_lru()
-        self._entries[version] = (value, locked_by)
+        entries = self._entries
+        if window != self.base:
+            # Every resident lies in the old window: none can share a
+            # base with the new entry.
+            entries.clear()
+            self._lru.clear()
+            self.base = window
+        elif version not in entries:
+            while len(entries) >= ENTRIES_PER_LINE:
+                self._evict_lru()
+        entries[version] = (value, locked_by)
         self._tick += 1
         self._lru[version] = self._tick
-        self._evict_until_fits(keep=version)
-        self._rebase()
         return True
-
-    def _window_values(self) -> list[int]:
-        vals = list(self._entries)
-        for _, locked_by in self._entries.values():
-            if locked_by is not None:
-                vals.append(locked_by)
-        return vals
-
-    def _evict_until_fits(self, keep: int) -> None:
-        while not self._fits_window(self._window_values(), []):
-            victims = [v for v in self._entries if v != keep]
-            if not victims:  # pragma: no cover - guarded by put()'s own check
-                raise SimulationError("single entry cannot fit its own window")
-            victim = min(victims, key=lambda v: self._lru[v])
-            del self._entries[victim]
-            del self._lru[victim]
 
     def _evict_lru(self) -> None:
         victim = min(self._lru, key=self._lru.__getitem__)
@@ -172,8 +142,6 @@ class CompressedLine:
         """Remove one entry (e.g. its version block was reclaimed)."""
         self._entries.pop(version, None)
         self._lru.pop(version, None)
-        if self._entries:
-            self._rebase()
 
     # -- bit-exact packing ----------------------------------------------------
 
@@ -184,7 +152,6 @@ class CompressedLine:
         each data (32) | version offset (14) | lock offset (14).  Empty
         slots carry the invalid sentinel.  Values must fit 32 bits.
         """
-        self._rebase()
         lo = self.window_start
         word = self.base | (self.line_offset << VERSION_BASE_BITS)
         shift = VERSION_BASE_BITS + LINE_OFFSET_BITS

@@ -6,6 +6,14 @@ triggers a collection phase, and when the list is completely empty the
 hardware traps to the OS, which carves more memory into version blocks
 (``refill_blocks`` at a time) after updating the page table.  The refill
 budget can be bounded to make exhaustion testable.
+
+Storage layout: a carve is not materialised block by block.  The most
+recent carve is a bump region ``[lo, top)`` that sits at the bottom of
+the stack and pops from the top; released paddrs stack above it.  This
+is exactly the pop order of an eagerly filled stack (carved paddrs in
+ascending order, releases pushed on top), because a carve only happens
+once both parts are empty.  The initial carve is therefore as lazy as the
+paper's refill trap: a block costs nothing until it is first allocated.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ class FreeList:
     __slots__ = (
         "_stats",
         "_free",
+        "_lo",
+        "_top",
         "_bump",
         "_refill_blocks",
         "_refills_left",
@@ -47,7 +57,11 @@ class FreeList:
         """``on_refill_page(start_paddr, nbytes)`` lets the page table mark
         newly carved regions as version-block pages."""
         self._stats = stats
+        #: Released paddrs, stacked above the bump region.
         self._free: list[int] = []
+        #: The not-yet-allocated part of the latest carve, ``[_lo, _top)``.
+        self._lo = self._top = base_paddr
+        #: Carve high-water mark: the next carve starts here.
         self._bump = base_paddr
         self._refill_blocks = refill_blocks
         self._refills_left = max_refills
@@ -55,10 +69,11 @@ class FreeList:
         self._carve(initial_blocks, count_refill=False)
 
     def _carve(self, nblocks: int, count_refill: bool) -> None:
+        """Make ``nblocks`` fresh blocks the bump region (stack is empty)."""
         start = self._bump
-        for _ in range(nblocks):
-            self._free.append(self._bump)
-            self._bump += VERSION_BLOCK_SIZE
+        self._bump = start + nblocks * VERSION_BLOCK_SIZE
+        self._lo = start
+        self._top = self._bump
         if self._on_refill_page is not None:
             self._on_refill_page(start, nblocks * VERSION_BLOCK_SIZE)
         if count_refill:
@@ -66,7 +81,11 @@ class FreeList:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self._free) + (self._top - self._lo) // VERSION_BLOCK_SIZE
+
+    def paddrs(self) -> list[int]:
+        """Every free paddr, bottom of the stack first (the next pop last)."""
+        return list(range(self._lo, self._top, VERSION_BLOCK_SIZE)) + self._free
 
     @property
     def refills_left(self) -> int | None:
@@ -82,11 +101,16 @@ class FreeList:
 
         The discarded paddrs are forgotten entirely — exactly what an OS
         reclaiming version-block pages under memory pressure looks like
-        to the hardware.  Returns the number of blocks dropped.
+        to the hardware.  Blocks go from the top of the stack, released
+        ones first.  Returns the number of blocks dropped.
         """
-        dropped = max(0, len(self._free) - max(0, leave))
-        if dropped:
-            del self._free[len(self._free) - dropped :]
+        dropped = max(0, self.free_count - max(0, leave))
+        released = len(self._free)
+        if dropped <= released:
+            del self._free[released - dropped :]
+        else:
+            self._free.clear()
+            self._top -= (dropped - released) * VERSION_BLOCK_SIZE
         return dropped
 
     def allocate(self) -> tuple[int, int]:
@@ -96,16 +120,21 @@ class FreeList:
         when the OS refill trap fired.  Raises :class:`FreeListExhausted`
         once the refill budget is spent.
         """
-        if not self._free:
-            if self._refills_left is not None and self._refills_left <= 0:
-                raise FreeListExhausted(
-                    "version-block free list empty and refill budget exhausted"
-                )
-            if self._refills_left is not None:
-                self._refills_left -= 1
-            self._carve(self._refill_blocks, count_refill=True)
-            return self._free.pop(), REFILL_TRAP_CYCLES
-        return self._free.pop(), 0
+        free = self._free
+        if free:
+            return free.pop(), 0
+        if self._top != self._lo:
+            self._top -= VERSION_BLOCK_SIZE
+            return self._top, 0
+        if self._refills_left is not None and self._refills_left <= 0:
+            raise FreeListExhausted(
+                "version-block free list empty and refill budget exhausted"
+            )
+        if self._refills_left is not None:
+            self._refills_left -= 1
+        self._carve(self._refill_blocks, count_refill=True)
+        self._top -= VERSION_BLOCK_SIZE
+        return self._top, REFILL_TRAP_CYCLES
 
     def release(self, paddr: int) -> None:
         """Return a reclaimed block to the free list."""

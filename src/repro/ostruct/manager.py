@@ -90,14 +90,16 @@ class _DirectEntry:
         self.blocks: dict[int, VersionBlock] = {}
 
     def put(self, block: VersionBlock) -> bool:
-        ok = self.line.put(block.version, block.value, block.locked_by)
+        line = self.line
+        ok = line.put(block.version, block.value, block.locked_by)
         if ok:
-            self.blocks[block.version] = block
-            # The line may have evicted entries to honour capacity/range.
-            live = set(self.line.versions())
-            for v in list(self.blocks):
-                if v not in live:
-                    del self.blocks[v]
+            blocks = self.blocks
+            blocks[block.version] = block
+            # The line may have evicted entries to honour capacity/range;
+            # it only ever loses versions, so equal sizes mean equal sets.
+            if len(blocks) != len(line):
+                for v in [v for v in blocks if v not in line]:
+                    del blocks[v]
         return ok
 
     def get(self, version: int) -> VersionBlock | None:

@@ -2,9 +2,9 @@
 
 ``python -m repro bench`` runs a fixed basket of deterministic probes —
 the event kernel's wheel and solo paths, the array-backed cache, the
-coherence directory under the full hierarchy, and one end-to-end QUICK
-workload — and records each probe's wall-clock and throughput into
-``benchmarks/baselines.json``.  ``--compare`` re-runs the basket and
+coherence directory under the full hierarchy, end-to-end QUICK
+workloads and a machine's build-and-teardown — and records each probe's
+wall-clock and throughput into ``benchmarks/baselines.json``.  ``--compare`` re-runs the basket and
 fails (exit 1) when any probe regressed by more than ``--tolerance``
 (CI runs ``--compare --tolerance 0.25``).
 
@@ -26,6 +26,7 @@ identical event sequences and differ only in timing.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -209,6 +210,31 @@ def _probe_version_walk() -> tuple[int, float]:
     return ops, time.perf_counter() - t0
 
 
+def _probe_machine_lifecycle() -> tuple[int, float]:
+    """Build a 32-core Table II machine, drop it and collect it.
+
+    Every simulation run pays this once.  It stays small only while
+    machine state is built on first touch (cache sets, the free-list
+    carve), so the probe fails the gate if eager allocation comes back.
+    """
+    from .sim.machine import Machine
+
+    config = TABLE2.with_cores(32)
+    builds = 200
+    # Freeze what is already live so each collection walks only the
+    # machine just dropped, not whatever the process holds.
+    gc.collect()
+    gc.freeze()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(builds):
+            Machine(config)
+            gc.collect()
+        return builds, time.perf_counter() - t0
+    finally:
+        gc.unfreeze()
+
+
 PROBES: dict[str, tuple[Callable[[], tuple[int, float]], str]] = {
     "engine_wheel": (_probe_engine_wheel, "events"),
     "engine_solo": (_probe_engine_solo, "events"),
@@ -217,6 +243,7 @@ PROBES: dict[str, tuple[Callable[[], tuple[int, float]], str]] = {
     "end_to_end_quick": (_probe_end_to_end, "cycles"),
     "fused_quick": (_probe_fused_quick, "cycles"),
     "version_walk": (_probe_version_walk, "loads"),
+    "machine_lifecycle": (_probe_machine_lifecycle, "machines"),
 }
 
 

@@ -136,7 +136,7 @@ def capture_state(machine: "Machine") -> dict[str, Any]:
         "roots": tuple(sorted(mgr.roots)),
         "page_table": tuple(sorted(machine.page_table._versioned_pages)),
         "free_list": {
-            "free": tuple(free._free),
+            "free": tuple(free.paddrs()),
             "bump": free._bump,
             "refills_left": free.refills_left,
         },

@@ -8,16 +8,18 @@ version-block state whenever its backing line leaves the cache (by
 eviction *or* coherence invalidation), mirroring the paper's "discard the
 compressed version block on a coherence message" policy.
 
-Storage layout: instead of one dict per set, all ways live in flat
-parallel arrays (``_tags`` / ``_stamps`` / ``_dirty``) indexed by
-``set * ways + way``, with ``-1`` tagging an empty way.  Way scans use
-``list.index`` with explicit bounds, which runs at C speed over the
-handful of ways per set; LRU state is an integer stamp per way (the
-global tick counter is monotonically increasing, so stamps are unique and
-the minimum-stamp way is exactly the dict kernel's least-recent entry).
-This keeps the steady state allocation-free: a hit, an install and an
-eviction each mutate list slots in place rather than resizing per-set
-dicts and a global dirty set.
+Storage layout: ``_sets`` holds one entry per set, ``None`` until the
+set's first fill.  A filled set is one flat list of ``3 * ways`` slots:
+the tags (``-1`` marks an empty way), then the LRU stamps, then the dirty
+flags, so way ``i``'s stamp is at ``ways + i`` and its dirty flag at
+``2 * ways + i``.  Way scans use ``list.index`` bounded to the tag slots,
+which runs at C speed over the handful of ways per set; LRU state is an
+integer stamp per way (the global tick counter is monotonically
+increasing, so stamps are unique and the minimum-stamp way is exactly the
+least-recent entry).  A machine therefore pays only for the sets it
+touches — a 32-core L2 starts as 49,152 ``None`` slots — and the steady
+state stays allocation-free: a hit, an install and an eviction each
+mutate list slots in place.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ class Cache:
     __slots__ = (
         "config",
         "name",
-        "_tags",
-        "_stamps",
-        "_dirty",
+        "_sets",
+        "_blank",
         "_tick",
         "_num_sets",
         "_ways",
@@ -48,13 +49,11 @@ class Cache:
         self.config = config
         self.name = name
         self._num_sets = config.num_sets
-        self._ways = config.ways
+        self._ways = ways = config.ways
         self._block_shift = config.block_bytes.bit_length() - 1
-        n = self._num_sets * self._ways
-        # Flat way arrays: tag (-1 = empty), LRU stamp, dirty flag.
-        self._tags: list[int] = [-1] * n
-        self._stamps: list[int] = [0] * n
-        self._dirty: list[bool] = [False] * n
+        self._sets: list[list | None] = [None] * self._num_sets
+        #: An empty set's slots, copied on the set's first fill.
+        self._blank: list = [-1] * ways + [0] * ways + [False] * ways
         self._tick = 0
         self._resident = 0
         #: Called with the block number whenever a block leaves this cache.
@@ -70,20 +69,24 @@ class Cache:
 
     def lookup(self, block: int) -> bool:
         """True if ``block`` is resident; updates recency on a hit."""
-        base = (block % self._num_sets) * self._ways
+        s = self._sets[block % self._num_sets]
+        if s is None:
+            return False
         try:
-            i = self._tags.index(block, base, base + self._ways)
+            i = s.index(block, 0, self._ways)
         except ValueError:
             return False
         self._tick += 1
-        self._stamps[i] = self._tick
+        s[self._ways + i] = self._tick
         return True
 
     def contains(self, block: int) -> bool:
         """Residency check without touching recency."""
-        base = (block % self._num_sets) * self._ways
+        s = self._sets[block % self._num_sets]
+        if s is None:
+            return False
         try:
-            self._tags.index(block, base, base + self._ways)
+            s.index(block, 0, self._ways)
         except ValueError:
             return False
         return True
@@ -91,83 +94,108 @@ class Cache:
     def insert(self, block: int, dirty: bool = False) -> int | None:
         """Install ``block``; returns the evicted block number, if any."""
         ways = self._ways
-        base = (block % self._num_sets) * ways
-        end = base + ways
-        tags = self._tags
+        k = block % self._num_sets
+        s = self._sets[k]
+        if s is None:
+            s = self._sets[k] = self._blank[:]
         self._tick += 1
         victim: int | None = None
         try:
-            i = tags.index(block, base, end)
+            i = s.index(block, 0, ways)
         except ValueError:
             try:
-                i = tags.index(-1, base, end)
+                i = s.index(-1, 0, ways)
             except ValueError:
                 # Set full: evict the LRU way.  Stamps are unique, so the
                 # minimum-stamp way is the least recently used entry.
-                stamps = self._stamps
-                i = base
-                best = stamps[base]
-                for j in range(base + 1, end):
-                    if stamps[j] < best:
-                        best = stamps[j]
+                i = ways
+                best = s[ways]
+                for j in range(ways + 1, 2 * ways):
+                    if s[j] < best:
+                        best = s[j]
                         i = j
-                victim = tags[i]
-                tags[i] = -1
-                self._dirty[i] = False
+                i -= ways
+                victim = s[i]
+                s[i] = -1
+                s[2 * ways + i] = False
                 self._resident -= 1
                 if self.evict_hook is not None:
                     self.evict_hook(victim)
-            tags[i] = block
-            self._dirty[i] = False
+            s[i] = block
+            s[2 * ways + i] = False
             self._resident += 1
-        self._stamps[i] = self._tick
+        s[ways + i] = self._tick
         if dirty:
-            self._dirty[i] = True
+            s[2 * ways + i] = True
         return victim
 
     def mark_dirty(self, block: int) -> None:
-        base = (block % self._num_sets) * self._ways
+        s = self._sets[block % self._num_sets]
+        if s is None:
+            return
         try:
-            i = self._tags.index(block, base, base + self._ways)
+            i = s.index(block, 0, self._ways)
         except ValueError:
             return
-        self._dirty[i] = True
+        s[2 * self._ways + i] = True
 
     def is_dirty(self, block: int) -> bool:
-        base = (block % self._num_sets) * self._ways
+        s = self._sets[block % self._num_sets]
+        if s is None:
+            return False
         try:
-            i = self._tags.index(block, base, base + self._ways)
+            i = s.index(block, 0, self._ways)
         except ValueError:
             return False
-        return self._dirty[i]
+        return s[2 * self._ways + i]
 
     def invalidate(self, block: int) -> bool:
         """Remove ``block`` if present; returns whether it was resident."""
-        base = (block % self._num_sets) * self._ways
-        tags = self._tags
+        s = self._sets[block % self._num_sets]
+        if s is None:
+            return False
         try:
-            i = tags.index(block, base, base + self._ways)
+            i = s.index(block, 0, self._ways)
         except ValueError:
             return False
-        tags[i] = -1
-        self._dirty[i] = False
+        s[i] = -1
+        s[2 * self._ways + i] = False
         self._resident -= 1
         if self.evict_hook is not None:
             self.evict_hook(block)
         return True
 
     def flush(self) -> None:
-        """Empty the cache (used between experiment phases)."""
-        tags = self._tags
-        dirty = self._dirty
+        """Empty the cache (used between experiment phases).
+
+        Blocks leave in set order, ways in order within a set, and each
+        one is gone before the evict hook hears of it; emptied sets go
+        back to unbuilt.
+        """
+        sets = self._sets
         hook = self.evict_hook
-        for i, block in enumerate(tags):
-            if block != -1:
-                tags[i] = -1
-                dirty[i] = False
-                self._resident -= 1
-                if hook is not None:
-                    hook(block)
+        for k, s in enumerate(sets):
+            if s is None:
+                continue
+            for i in range(self._ways):
+                block = s[i]
+                if block != -1:
+                    s[i] = -1
+                    self._resident -= 1
+                    if hook is not None:
+                        hook(block)
+            sets[k] = None
+
+    def resident(self) -> list[int]:
+        """Every resident block, in set order and way order within a set."""
+        ways = self._ways
+        return [
+            block
+            for s in self._sets
+            if s is not None
+            for block in s[:ways]
+            if block != -1
+        ]
 
     @property
     def resident_blocks(self) -> int:

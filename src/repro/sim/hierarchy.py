@@ -41,8 +41,6 @@ class MemoryHierarchy:
     def _make_evict_hook(self, core_id: int):
         def hook(block: int) -> None:
             self.directory.note_eviction(core_id, block)
-            if self.l1s[core_id].is_dirty(block):  # pragma: no cover - defensive
-                self.stats.writebacks += 1
             for fn in self._extra_hooks[core_id]:
                 fn(block)
 
@@ -97,9 +95,7 @@ class MemoryHierarchy:
             latency += self.directory.acquire_exclusive(core_id, block)
 
         if install:
-            evicted = l1.insert(block, dirty=write)
-            if evicted is not None and l1.is_dirty(evicted):  # pragma: no cover
-                stats.writebacks += 1
+            l1.insert(block, dirty=write)
             self.directory.note_fill(core_id, block)
         return latency
 

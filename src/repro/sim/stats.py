@@ -21,6 +21,8 @@ class SimStats:
     l2_misses: int = 0
     dram_accesses: int = 0
     invalidations: int = 0
+    #: Always 0: dirty evictions are not modelled as write-backs (the
+    #: field stays so SimStats rows keep their schema).
     writebacks: int = 0
 
     # Instruction mix.

@@ -63,12 +63,12 @@ class TestCorruptions:
 
     def test_duplicate_free_paddr(self, m):
         primed(m)
-        m.free_list._free.append(m.free_list._free[0])
+        m.free_list.release(m.free_list.paddrs()[0])
         assert any("duplicate paddrs" in p for p in check_invariants(m))
 
     def test_linked_block_on_free_list(self, m):
         addr = primed(m)
-        m.free_list._free.append(m.manager.lists[addr].head.paddr)
+        m.free_list.release(m.manager.lists[addr].head.paddr)
         assert any("both linked" in p for p in check_invariants(m))
 
     def test_stale_compressed_entry_after_removal(self, m):

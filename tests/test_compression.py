@@ -183,3 +183,103 @@ def test_property_window_invariant_always_holds(versions):
         if resident:
             window_start = (min(resident) >> 14) << 14
             assert max(resident) - window_start <= MAX_OFFSET
+
+
+class _OracleLine:
+    """Oracle: the list-building window check the line started from."""
+
+    def __init__(self) -> None:
+        self.base = 0
+        self.entries: dict[int, tuple] = {}
+        self.lru: dict[int, int] = {}
+        self.tick = 0
+
+    @staticmethod
+    def _fits(vals: list[int]) -> bool:
+        if not vals:
+            return True
+        lo, hi = min(vals), max(vals)
+        return hi - ((lo >> 14) << 14) <= MAX_OFFSET and (lo >> 14) < (1 << 18)
+
+    def _values(self) -> list[int]:
+        return list(self.entries) + [
+            lk for _, lk in self.entries.values() if lk is not None
+        ]
+
+    def _rebase(self) -> None:
+        vals = self._values()
+        if vals:
+            self.base = min(vals) >> 14
+
+    def _evict_until_fits(self, keep: int) -> None:
+        while not self._fits(self._values()):
+            victim = min((v for v in self.entries if v != keep), key=self.lru.get)
+            del self.entries[victim]
+            del self.lru[victim]
+
+    def get(self, version):
+        e = self.entries.get(version)
+        if e is not None:
+            self.tick += 1
+            self.lru[version] = self.tick
+        return e
+
+    def put(self, version, value, locked_by) -> bool:
+        if not self._fits([version] + ([locked_by] if locked_by is not None else [])):
+            return False
+        if version in self.entries:
+            self.entries[version] = (value, locked_by)
+            self._evict_until_fits(keep=version)
+            self.tick += 1
+            self.lru[version] = self.tick
+        else:
+            while len(self.entries) >= ENTRIES_PER_LINE:
+                victim = min(self.lru, key=self.lru.get)
+                del self.entries[victim]
+                del self.lru[victim]
+            self.entries[version] = (value, locked_by)
+            self.tick += 1
+            self.lru[version] = self.tick
+            self._evict_until_fits(keep=version)
+        self._rebase()
+        return True
+
+    def drop(self, version) -> None:
+        self.entries.pop(version, None)
+        self.lru.pop(version, None)
+        self._rebase()
+
+
+# Versions land in a few windows, often at their edges, so lockers and
+# neighbours regularly force window evictions and edge rejections as well
+# as capacity evictions.
+_offsets = st.one_of(
+    st.integers(0, RANGE - 1), st.sampled_from([0, 1, MAX_OFFSET - 1, MAX_OFFSET])
+)
+_line_op = st.tuples(
+    st.sampled_from(["put", "put", "get", "drop"]),
+    st.tuples(st.integers(0, 3), _offsets).map(lambda p: p[0] * RANGE + p[1]),
+    st.one_of(st.none(), st.integers(-3, 3), st.integers(-RANGE, RANGE)),
+)
+
+
+@given(ops=st.lists(_line_op, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_property_line_matches_list_oracle(ops):
+    """Random put/get/drop keep the same entries, victims and base as the
+    list-building implementation."""
+    line, oracle = CompressedLine(), _OracleLine()
+    for op, version, lock_delta in ops:
+        if op == "put":
+            locked_by = None if lock_delta is None else max(0, version + lock_delta)
+            assert line.put(version, version & 0xFFFF, locked_by) == oracle.put(
+                version, version & 0xFFFF, locked_by
+            )
+        elif op == "get":
+            assert line.get(version) == oracle.get(version)
+        else:
+            line.drop(version)
+            oracle.drop(version)
+        assert list(line._entries.items()) == list(oracle.entries.items())
+        assert line._lru == oracle.lru
+        assert line.base == oracle.base

@@ -287,7 +287,7 @@ class TestFreeInteraction:
         rig.tracker.end(1)
         assert rig.stats.gc_reclaimed == 0
         assert rig.free_list.free_count == before
-        free = rig.free_list._free
+        free = rig.free_list.paddrs()
         assert len(free) == len(set(free))
 
     def test_free_during_phase_purges_pending(self, rig):
@@ -303,7 +303,7 @@ class TestFreeInteraction:
         assert not rig.gc.phase_active
         assert rig.stats.gc_reclaimed == 0
         assert rig.free_list.free_count == before
-        free = rig.free_list._free
+        free = rig.free_list.paddrs()
         assert len(free) == len(set(free))
 
     def test_forget_address_returns_purge_count(self, rig):

@@ -1,19 +1,20 @@
 """The sanitizer: op-level differential checking plus invariant checkpoints.
 
-:class:`Sanitizer` attaches to a machine by shadowing the manager's seven
-versioned operations (and ``free_ostructure``) with instance-attribute
-wrappers.  Each wrapper lets the hardware model run first, then replays
-the op against the software reference via the
-:class:`~repro.check.oracle.DifferentialOracle`; every ``interval``
-checked ops the structural invariants of
-:mod:`repro.check.invariants` are validated as well.  A GC reclaim hook
+:class:`Sanitizer` attaches to a machine as a subscriber of the
+machine's ``op``, ``reclaim`` and ``drop`` events (see
+:mod:`repro.sim.events`).  The manager emits ``op`` after the hardware
+model has run one of the seven versioned operations (or
+``free_ostructure``), with its arguments and its result or raised
+error; the sanitizer replays it against the software reference via the
+:class:`~repro.check.oracle.DifferentialOracle`, and every ``interval``
+checked ops it validates the structural invariants of
+:mod:`repro.check.invariants` as well.  The ``reclaim`` subscriber
 audits Section III-B safety for every reclaimed block before mirroring
 the reclaim into the reference.
 
-Because the wrappers are instance attributes, the manager's *internal*
-calls are checked too — a renaming ``unlock_version`` resolves
-``self.store_version`` to the wrapped version, so the rename's store is
-mirrored exactly once, in order.
+The manager's *internal* calls are reported too — a renaming
+``unlock_version`` emits the rename's store before the unlock itself,
+so the rename is mirrored exactly once, in order.
 
 On any disagreement a :class:`CheckViolation` is raised carrying a
 structured report: the violated facts, the offending op, the simulated
@@ -25,12 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..errors import (
-    NotLockedError,
-    ProtectionFault,
-    SimulationError,
-    VersionExistsError,
-)
+from ..errors import NotLockedError, SimulationError, VersionExistsError
 from ..ostruct import isa
 from ..ostruct.manager import StallSignal
 from .invariants import check_invariants
@@ -109,19 +105,22 @@ def _rebuild_violation(kind, problems, op, cycle, ops_checked, trace_tail, post_
     )
 
 
+#: The error each op reports when the reference must agree it failed.
+_EXPECTED_ERRORS: dict[str, type[Exception] | tuple] = {
+    isa.LOAD_VERSION: StallSignal,
+    isa.LOAD_LATEST: StallSignal,
+    isa.STORE_VERSION: VersionExistsError,
+    isa.LOCK_LOAD_VERSION: StallSignal,
+    isa.LOCK_LOAD_LATEST: StallSignal,
+    isa.UNLOCK_VERSION: NotLockedError,
+    # A refused free (waiters or locked versions) leaves the reference
+    # untouched: nothing to check or mirror.
+    "free_ostructure": (),
+}
+
+
 class Sanitizer:
     """Differential + invariant checker wired into one machine."""
-
-    #: Manager attributes shadowed by wrappers.
-    _WRAPPED = (
-        "load_version",
-        "load_latest",
-        "store_version",
-        "lock_load_version",
-        "lock_load_latest",
-        "unlock_version",
-        "free_ostructure",
-    )
 
     def __init__(
         self,
@@ -138,34 +137,25 @@ class Sanitizer:
         self.trace_tail = trace_tail
         self.ops_checked = 0
         self.checkpoints_run = 0
-        mgr = machine.manager
-        self._orig = {name: getattr(mgr, name) for name in self._WRAPPED}
-        for name in self._WRAPPED:
-            setattr(mgr, name, getattr(self, f"_{name}"))
-        machine.gc.reclaim_hooks.append(self._on_reclaim)
-        machine.manager.drop_hooks.append(self._on_abort_drop)
-        # Keep an interleaving record for violation reports, but never
-        # displace a tracer/hook the user installed first.
-        self.tracer = None
-        if machine.trace_hook is None:
-            from ..sim.trace import Tracer
+        self._subscriptions = (
+            ("op", self._on_op),
+            ("reclaim", self._on_reclaim),
+            ("drop", self._on_abort_drop),
+        )
+        for event, fn in self._subscriptions:
+            machine.events.subscribe(event, fn)
+        # The interleaving record for violation reports.
+        from ..sim.trace import Tracer
 
-            self.tracer = Tracer(machine, capacity=4096, only_versioned=True)
+        self.tracer = Tracer(machine, capacity=4096, only_versioned=True)
 
     # -- lifecycle -----------------------------------------------------------
 
     def uninstall(self) -> None:
-        """Restore the unwrapped manager (fault-injection tests)."""
-        mgr = self.machine.manager
-        for name in self._WRAPPED:
-            if getattr(mgr, name, None) == getattr(self, f"_{name}"):
-                delattr(mgr, name)
-        if self._on_reclaim in self.machine.gc.reclaim_hooks:
-            self.machine.gc.reclaim_hooks.remove(self._on_reclaim)
-        if self._on_abort_drop in self.machine.manager.drop_hooks:
-            self.machine.manager.drop_hooks.remove(self._on_abort_drop)
-        if self.tracer is not None:
-            self.tracer.detach()
+        """Stop checking: unsubscribe everything (fault-injection tests)."""
+        for event, fn in self._subscriptions:
+            self.machine.events.unsubscribe(event, fn)
+        self.tracer.detach()
 
     def finish(self) -> None:
         """Terminal sweep: full invariants plus a whole-state model diff."""
@@ -187,11 +177,7 @@ class Sanitizer:
             return
         from ..sim import waitgraph
 
-        tail = (
-            [str(e) for e in self.tracer.last(self.trace_tail)]
-            if self.tracer is not None
-            else []
-        )
+        tail = [str(e) for e in self.tracer.last(self.trace_tail)]
         try:
             pm = waitgraph.post_mortem(self.machine)
         except Exception as exc:  # pragma: no cover - diagnostics only
@@ -216,132 +202,67 @@ class Sanitizer:
         self._require(not problems, "invariant-checkpoint", problems, None)
         self.checkpoints_run += 1
 
-    # -- wrapped operations --------------------------------------------------
+    # -- the ``op`` subscriber -----------------------------------------------
 
-    def _load_version(self, core_id: int, vaddr: int, version: int):
-        op = (isa.LOAD_VERSION, vaddr, version)
-        try:
-            lat, value = self._orig["load_version"](core_id, vaddr, version)
-        except StallSignal:
-            problems = self.oracle.expect_blocked_exact(vaddr, version)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.expect_exact(vaddr, version, value)
+    def _on_op(
+        self, name: str, args: tuple, result: Any, exc: Exception | None
+    ) -> None:
+        failed = exc is not None
+        if failed and not isinstance(exc, _EXPECTED_ERRORS[name]):
+            return  # e.g. a protection fault: nothing to compare
+        o = self.oracle
+        if name == "free_ostructure":
+            vaddr = args[0]
+            op: tuple = (name, vaddr)
+            problems = o.mirror_free(vaddr, result)
+        else:
+            # args = (core_id, vaddr, version-or-cap, ...) per signature.
+            vaddr, key = args[1], args[2]
+            op = (name, vaddr, key)
+            if name == isa.LOAD_VERSION:
+                problems = (
+                    o.expect_blocked_exact(vaddr, key)
+                    if failed
+                    else o.expect_exact(vaddr, key, result[1])
+                )
+            elif name == isa.LOAD_LATEST:
+                problems = (
+                    o.expect_blocked_latest(vaddr, key)
+                    if failed
+                    else o.expect_latest(vaddr, key, *result[1])
+                )
+            elif name == isa.STORE_VERSION:
+                value = args[3]
+                op = (name, vaddr, key, value)
+                problems = (
+                    o.expect_store_conflict(vaddr, key)
+                    if failed
+                    else o.mirror_store(vaddr, key, value)
+                )
+            elif name == isa.LOCK_LOAD_VERSION:
+                problems = (
+                    o.expect_blocked_exact(vaddr, key)
+                    if failed
+                    else o.mirror_lock_exact(vaddr, key, args[3], result[1])
+                )
+            elif name == isa.LOCK_LOAD_LATEST:
+                problems = (
+                    o.expect_blocked_latest(vaddr, key)
+                    if failed
+                    else o.mirror_lock_latest(vaddr, key, args[3], *result[1])
+                )
+            else:  # UNLOCK_VERSION; a renaming unlock's store came first.
+                op = (name, vaddr, key, args[4])
+                problems = (
+                    o.expect_not_locked(vaddr, key, args[3])
+                    if failed
+                    else o.mirror_unlock(vaddr, key, args[3])
+                )
         self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, value
-
-    def _load_latest(self, core_id: int, vaddr: int, cap: int):
-        op = (isa.LOAD_LATEST, vaddr, cap)
-        try:
-            lat, (version, value) = self._orig["load_latest"](
-                core_id, vaddr, cap
-            )
-        except StallSignal:
-            problems = self.oracle.expect_blocked_latest(vaddr, cap)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.expect_latest(vaddr, cap, version, value)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, (version, value)
-
-    def _store_version(
-        self,
-        core_id: int,
-        vaddr: int,
-        version: int,
-        value: Any,
-        task_id: int | None = None,
-    ):
-        op = (isa.STORE_VERSION, vaddr, version, value)
-        try:
-            result = self._orig["store_version"](
-                core_id, vaddr, version, value, task_id
-            )
-        except VersionExistsError:
-            problems = self.oracle.expect_store_conflict(vaddr, version)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_store(vaddr, version, value)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return result
-
-    def _lock_load_version(
-        self, core_id: int, vaddr: int, version: int, task_id: int
-    ):
-        op = (isa.LOCK_LOAD_VERSION, vaddr, version)
-        try:
-            lat, value = self._orig["lock_load_version"](
-                core_id, vaddr, version, task_id
-            )
-        except StallSignal:
-            problems = self.oracle.expect_blocked_exact(vaddr, version)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_lock_exact(vaddr, version, task_id, value)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, value
-
-    def _lock_load_latest(self, core_id: int, vaddr: int, cap: int, task_id: int):
-        op = (isa.LOCK_LOAD_LATEST, vaddr, cap)
-        try:
-            lat, (version, value) = self._orig["lock_load_latest"](
-                core_id, vaddr, cap, task_id
-            )
-        except StallSignal:
-            problems = self.oracle.expect_blocked_latest(vaddr, cap)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_lock_latest(
-            vaddr, cap, task_id, version, value
-        )
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return lat, (version, value)
-
-    def _unlock_version(
-        self,
-        core_id: int,
-        vaddr: int,
-        version: int,
-        task_id: int,
-        new_version: int | None = None,
-    ):
-        op = (isa.UNLOCK_VERSION, vaddr, version, new_version)
-        try:
-            # A renaming unlock calls the manager's own store_version,
-            # which resolves to the wrapped one: the rename is mirrored
-            # there, so mirror_unlock below only releases the lock.
-            result = self._orig["unlock_version"](
-                core_id, vaddr, version, task_id, new_version
-            )
-        except NotLockedError:
-            problems = self.oracle.expect_not_locked(vaddr, version, task_id)
-            self._require(not problems, "divergence", problems, op)
-            raise
-        problems = self.oracle.mirror_unlock(vaddr, version, task_id)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return result
-
-    def _free_ostructure(self, vaddr: int):
-        op = ("free_ostructure", vaddr)
-        try:
-            count = self._orig["free_ostructure"](vaddr)
-        except ProtectionFault:
-            # The hardware refused (waiters or locked versions); the
-            # reference keeps its state and nothing needs mirroring.
-            raise
-        problems = self.oracle.mirror_free(vaddr, count)
-        self._require(not problems, "divergence", problems, op)
-        self._checkpoint()
-        return count
+        if not failed:
+            self._checkpoint()
 
     # -- GC auditing ---------------------------------------------------------
-
     def _on_reclaim(self, vaddr: int, version: int) -> None:
         # Live tasks above max_seen are future consumers the renaming
         # protocols address by exact version; the GC contract protects

@@ -15,8 +15,9 @@ Two tiers:
   detection, timeouts, retry-with-backoff, and ``--resume``.
 
 Only the spec layer is imported here; the injector is pulled in lazily
-by :class:`~repro.sim.machine.Machine` (it wraps the manager the
-machine builds), and the harness layer by :mod:`repro.harness.sweeps`.
+by :class:`~repro.sim.machine.Machine` (it subscribes to the event bus
+of the machine it arms), and the harness layer by
+:mod:`repro.harness.sweeps`.
 """
 
 from .spec import KINDS, TRANSPARENT_KINDS, FaultSpec, random_plan, validate_plan

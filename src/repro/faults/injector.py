@@ -1,18 +1,21 @@
 """Deterministic machine-tier fault injection.
 
 The injector arms a :class:`~repro.faults.spec.FaultSpec` plan against a
-live machine by wrapping two manager chokepoints:
+live machine as an ordinary subscriber of two events on
+``machine.events`` (see :mod:`repro.sim.events`):
 
-- ``manager._extra`` — called exactly once per completed versioned
-  operation — provides the *op ordinal* used to trigger op-indexed
+- ``tick`` — emitted once per completed versioned operation with the
+  manager's op ordinal (``manager.ticks``) — triggers the op-indexed
   faults (``starve-free-list``, ``pause-gc``, ``abort-task``, and the
   environment faults ``crash-machine`` / ``corrupt-block``, which kill
   the run or damage its newest checkpoint image; see repro.recovery);
-- ``manager._notify`` — the waiter wake-up path — provides the *notify
-  ordinal* used by the wake faults (``drop-wake`` swallows the
-  notification, ``delay-wake`` postpones delivery).  Notifications with
-  no parked waiter are not counted: a plan's window always lines up
-  with wake-ups that would actually have delivered something.
+- ``notify`` — emitted only when a store or unlock finds parked
+  waiters — advances the *notify ordinal* used by the wake faults: the
+  injector answers ``DROP_WAKE`` for ``drop-wake`` (the notification is
+  swallowed) or a delay for ``delay-wake`` (delivery is postponed).
+  Because notifications with no parked waiter are never emitted, a
+  plan's window always lines up with wake-ups that would actually have
+  delivered something.
 
 Both ordinals advance deterministically with the simulation, so a given
 ``(workload, seed, plan)`` triple always injects the same faults at the
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..ostruct.manager import ALLOC_WAIT
+from ..ostruct.manager import ALLOC_WAIT, DROP_WAKE
 from .spec import FaultSpec, validate_plan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,7 +57,6 @@ class FaultInjector:
         #: Faults whose trigger matched but whose target was not
         #: applicable (e.g. an abort-task victim already finished).
         self.skipped: list[FaultSpec] = []
-        self.op_index = 0
         self.notify_index = 0
         # Op-indexed faults sorted descending by (at, plan position) so
         # the next due fault sits at the end and pops in O(1).
@@ -64,43 +66,37 @@ class FaultInjector:
             reverse=True,
         )
         self._wake_faults = [f for f in self.plan if f.kind in _WAKE_KINDS]
-        manager = machine.manager
-        self._orig_extra = manager._extra
-        self._orig_notify = manager._notify
-        manager._extra = self._extra
-        manager._notify = self._notify
+        machine.events.subscribe("tick", self._on_tick)
+        machine.events.subscribe("notify", self._on_notify)
 
-    # -- wrapped chokepoints ---------------------------------------------------
+    def detach(self) -> None:
+        """Disarm the plan: unsubscribe from both events (idempotent)."""
+        self.machine.events.unsubscribe("tick", self._on_tick)
+        self.machine.events.unsubscribe("notify", self._on_notify)
 
-    def _extra(self) -> int:
-        self.op_index += 1
-        while self._op_faults and self._op_faults[-1].at <= self.op_index:
-            self._trigger(self._op_faults.pop())
-        return self._orig_extra()
+    # -- event subscribers -----------------------------------------------------
 
-    def _notify(self, vaddr: int) -> None:
-        manager = self.machine.manager
-        if not manager._waiters.get(vaddr):
-            return self._orig_notify(vaddr)
+    def _on_tick(self, ordinal: int) -> None:
+        while self._op_faults and self._op_faults[-1].at <= ordinal:
+            self._trigger(self._op_faults.pop(), ordinal)
+
+    def _on_notify(self, vaddr: int) -> object:
         self.notify_index += 1
         idx = self.notify_index
         for f in self._wake_faults:
             if f.at <= idx < f.at + f.span:
+                self._record(f)
                 if f.kind == "drop-wake":
                     # Swallow the wake-up; the waiters stay parked.  The
                     # watchdog's kick path is the designed recovery.
-                    self._record(f)
-                    return
+                    return DROP_WAKE
                 # delay-wake: deliver late (a normal wake is delay 1).
-                cbs = manager._waiters.pop(vaddr)
-                manager._schedule_wake(cbs, max(2, f.value))
-                self._record(f)
-                return
-        return self._orig_notify(vaddr)
+                return max(2, f.value)
+        return None
 
     # -- fault actions ---------------------------------------------------------
 
-    def _trigger(self, f: FaultSpec) -> None:
+    def _trigger(self, f: FaultSpec, ordinal: int) -> None:
         m = self.machine
         if f.kind == "starve-free-list":
             m.free_list.set_refill_budget(f.value)
@@ -111,15 +107,13 @@ class FaultInjector:
             m.sim.schedule(max(1, f.value), lambda: self._resume_gc())
             self._record(f)
         elif f.kind == "abort-task":
-            # _extra runs mid-dispatch: the victim core may be the one
+            # ``tick`` fires mid-dispatch: the victim core may be the one
             # executing right now, so defer the abort to a fresh event.
             m.sim.schedule(0, lambda spec=f: self._abort(spec))
         elif f.kind == "crash-machine":
             # Deferred like the abort so the op in flight completes; the
             # raise then propagates cleanly out of ``sim.run()``.
-            m.sim.schedule(
-                0, lambda spec=f, idx=self.op_index: self._crash(spec, idx)
-            )
+            m.sim.schedule(0, lambda spec=f: self._crash(spec, ordinal))
         elif f.kind == "corrupt-block":
             self._corrupt(f)
 

@@ -4,8 +4,8 @@ The instruments live where the events happen — the manager's lookup and
 allocation paths, the core's stall-resolution path, the rwlock's grant
 path — each behind a single ``metrics is not None`` attribute check.
 This module only *connects* them: it creates the registry, hands it to
-the manager and machine, and registers the GC hooks that turn shadow and
-reclaim events into the reclamation-lag histogram.
+the manager and machine, and subscribes to the ``shadow``, ``reclaim``
+and ``drop`` events that turn into the reclamation-lag histogram.
 
 Attach before ``machine.run()``; instruments attached mid-run simply
 miss earlier events.
@@ -53,7 +53,8 @@ def attach_metrics(machine: "Machine") -> MetricsRegistry:
         # never be reclaimed, so its shadow timestamp must not leak.
         shadow_cycle.pop((vaddr, version), None)
 
-    machine.gc.shadow_hooks.append(on_shadow)
-    machine.gc.reclaim_hooks.append(on_reclaim)
-    machine.manager.drop_hooks.append(on_drop)
+    events = machine.events
+    events.subscribe("shadow", on_shadow)
+    events.subscribe("reclaim", on_reclaim)
+    events.subscribe("drop", on_drop)
     return registry

@@ -1,7 +1,7 @@
 """``python -m repro trace``: record one workload run for analysis.
 
 Runs a single workload variant with the full observability stack
-attached — metrics registry, span recorder, chained op tracer — then
+attached — metrics registry, span recorder, op tracer — then
 writes a Perfetto-loadable Chrome trace (``--perfetto``), a metrics
 snapshot (``--metrics``), and prints the span summary, the rendered
 metrics, and the critical-path analysis::

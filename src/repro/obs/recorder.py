@@ -4,23 +4,24 @@ The per-op :class:`~repro.sim.trace.Tracer` answers "what did core 3 do
 at cycle 12 000?"; a :class:`SpanRecorder` answers the *interval*
 questions a timeline viewer needs — when did task 17 run and on which
 core, how long was the GC phase that overlapped it, which waiter did the
-watchdog abort.  It attaches through the machine's hook points (all
-chainable, so it coexists with a user Tracer and the sanitizer):
+watchdog abort.  It is an ordinary subscriber of the machine's event
+bus (:mod:`repro.sim.events`), so it coexists with a user Tracer, the
+sanitizer, other recorders and fault injection:
 
-- a chained :class:`Tracer` buffers retired ops for the Perfetto export;
-- ``machine.task_hook`` delivers TASK-BEGIN / TASK-END / abort events,
-  which become :class:`TaskSpan` intervals per core;
-- ``gc.phase_hooks`` bracket collection phases (emergency collections
-  are instants);
-- ``machine.recovery_hook`` captures watchdog trips, aborts, kicks;
-- a lightweight edge hook (plus two wrapped manager methods, needed to
-  learn which version a LOAD-LATEST actually resolved to) records the
-  version produce→consume relation that
-  :mod:`repro.obs.critpath` turns into the critical path.
+- its own :class:`Tracer` buffers retired ops for the Perfetto export;
+- ``task`` delivers TASK-BEGIN / TASK-END / abort events, which become
+  :class:`TaskSpan` intervals per core;
+- ``gc_phase`` brackets collection phases (emergency collections are
+  instants);
+- ``recovery`` captures watchdog trips, aborts, kicks and restores;
+- ``retire`` and ``op`` record the version produce→consume relation
+  that :mod:`repro.obs.critpath` turns into the critical path (``op``
+  carries the version a LOAD-LATEST actually resolved to), and ``drop``
+  forgets the produce edges of rolled-back stores.
 
 ``finish()`` closes any still-open spans (a deadlocked run leaves its
 victims open — exactly what the timeline should show) and ``detach()``
-restores every hook.
+unsubscribes everything.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from ..sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.machine import Machine
+
+_LATEST_OPS = frozenset({isa.LOAD_LATEST, isa.LOCK_LOAD_LATEST})
 
 
 @dataclass(slots=True)
@@ -84,57 +87,22 @@ class SpanRecorder:
         self.consumes: list[tuple[int, int, int, int]] = []
         self._open_tasks: dict[int, TaskSpan] = {}  # core -> span
         self._open_gc: GcSpan | None = None
-        self._detached = False
+        self._subscriptions = (
+            ("retire", self._on_retire),
+            ("op", self._on_op),
+            ("task", self._on_task),
+            ("recovery", self._on_recovery),
+            ("gc_phase", self._on_gc_phase),
+            # An aborted task's uncommitted versions are rolled back;
+            # their produce edges must be forgotten with them, or the
+            # critical-path DP would run paths through stores that never
+            # happened (the retry re-records the real edge).
+            ("drop", self._on_drop),
+        )
+        for event, fn in self._subscriptions:
+            machine.events.subscribe(event, fn)
 
-        # Stable bound-method objects: attribute access creates a fresh
-        # bound method each time, so detach()'s identity checks need the
-        # exact objects that were attached.
-        self._task_hook = self._on_task
-        self._recovery_hook = self._on_recovery
-        self._drop_hook = self._on_drop
-        machine.add_trace_hook(self._edge_hook)
-        if machine.task_hook is not None:
-            raise RuntimeError("machine already has a task hook attached")
-        machine.task_hook = self._task_hook
-        if machine.recovery_hook is not None:
-            raise RuntimeError("machine already has a recovery hook attached")
-        machine.recovery_hook = self._recovery_hook
-        machine.gc.phase_hooks.append(self._on_gc_phase)
-        # An aborted task's uncommitted versions are rolled back; their
-        # produce edges must be forgotten with them, or the critical-path
-        # DP would run paths through stores that never happened (the
-        # abort's retry re-records the real edge when it commits).
-        machine.manager.drop_hooks.append(self._drop_hook)
-        # LOAD-LATEST ops name a cap, not a version; the consume edge
-        # needs the version the lookup resolved to, which only the
-        # manager's return value carries.  Wrap the two latest-family
-        # methods with instance attributes (the same monkeypatch idiom
-        # the sanitizer uses) and record the resolved version.
-        mgr = machine.manager
-        # Remember whether the methods were already instance attributes
-        # (e.g. sanitizer wrappers): detach() then restores the captured
-        # callables; otherwise it deletes our instance attributes so the
-        # plain class methods show through again.
-        self._mgr_had_instance_methods = "load_latest" in vars(mgr)
-        self._orig_load_latest = mgr.load_latest
-        self._orig_lock_load_latest = mgr.lock_load_latest
-
-        def load_latest(core_id: int, vaddr: int, cap: int):
-            out = self._orig_load_latest(core_id, vaddr, cap)
-            self._consume_resolved(core_id, vaddr, out[1][0])
-            return out
-
-        def lock_load_latest(core_id: int, vaddr: int, cap: int, task_id: int):
-            out = self._orig_lock_load_latest(core_id, vaddr, cap, task_id)
-            self._consume_resolved(core_id, vaddr, out[1][0])
-            return out
-
-        self._wrapped_load_latest = load_latest
-        self._wrapped_lock_load_latest = lock_load_latest
-        mgr.load_latest = load_latest
-        mgr.lock_load_latest = lock_load_latest
-
-    # -- hook bodies ----------------------------------------------------------
+    # -- subscribers ----------------------------------------------------------
 
     def _now(self) -> int:
         return self.machine.sim.now
@@ -173,7 +141,7 @@ class SpanRecorder:
     def _on_drop(self, vaddr: int, version: int) -> None:
         self.produces.pop((vaddr, version), None)
 
-    def _edge_hook(
+    def _on_retire(
         self,
         core: int,
         task: int | None,
@@ -193,11 +161,17 @@ class SpanRecorder:
             if task is not None:
                 self.consumes.append((task, op_tuple[1], op_tuple[2], self._now()))
 
-    def _consume_resolved(self, core_id: int, vaddr: int, version: int) -> None:
-        core = self.machine.cores[core_id]
+    def _on_op(
+        self, name: str, args: tuple, result: Any, exc: Exception | None
+    ) -> None:
+        # LOAD-LATEST ops name a cap, not a version: the consume edge
+        # needs the version the lookup resolved to, from the result.
+        if exc is not None or name not in _LATEST_OPS:
+            return
+        core = self.machine.cores[args[0]]
         if core.current is not None:
             self.consumes.append(
-                (core.current.task_id, vaddr, version, self._now())
+                (core.current.task_id, args[1], result[1][0], self._now())
             )
 
     # -- lifecycle ------------------------------------------------------------
@@ -213,38 +187,11 @@ class SpanRecorder:
             self._open_gc = None
 
     def detach(self) -> None:
-        """Restore every hook; safe to call once the run is over."""
-        if self._detached:
-            return
-        self._detached = True
+        """Unsubscribe everything (idempotent); call once the run is over."""
         self.finish()
         self.tracer.detach()
-        self.machine.remove_trace_hook(self._edge_hook)
-        if self.machine.task_hook is self._task_hook:
-            self.machine.task_hook = None
-        if self.machine.recovery_hook is self._recovery_hook:
-            self.machine.recovery_hook = None
-        try:
-            self.machine.gc.phase_hooks.remove(self._on_gc_phase)
-        except ValueError:
-            pass
-        try:
-            self.machine.manager.drop_hooks.remove(self._drop_hook)
-        except ValueError:
-            pass
-        mgr = self.machine.manager
-        # Only restore if nothing wrapped the method after us (the
-        # sanitizer uses the same instance-attribute idiom).
-        if mgr.load_latest is self._wrapped_load_latest:
-            if self._mgr_had_instance_methods:
-                mgr.load_latest = self._orig_load_latest
-            else:
-                del mgr.load_latest
-        if mgr.lock_load_latest is self._wrapped_lock_load_latest:
-            if self._mgr_had_instance_methods:
-                mgr.lock_load_latest = self._orig_lock_load_latest
-            else:
-                del mgr.lock_load_latest
+        for event, fn in self._subscriptions:
+            self.machine.events.unsubscribe(event, fn)
 
     # -- summaries ------------------------------------------------------------
 

@@ -42,6 +42,7 @@ from .version_block import VersionBlock, VersionList
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.task import TaskTracker
+    from ..sim.events import EventBus
     from ..sim.hierarchy import MemoryHierarchy
     from ..sim.stats import SimStats
     from .free_list import FreeList
@@ -57,6 +58,7 @@ class GarbageCollector:
         tracker: "TaskTracker",
         hierarchy: "MemoryHierarchy",
         stats: "SimStats",
+        events: "EventBus",
         watermark: int,
         enabled: bool = True,
     ):
@@ -64,6 +66,8 @@ class GarbageCollector:
         self.tracker = tracker
         self.hierarchy = hierarchy
         self.stats = stats
+        #: The machine's event bus (``shadow``/``reclaim``/``gc_phase``).
+        self.events = events
         self.watermark = watermark
         self.enabled = enabled
         self._shadowed: list[tuple[VersionBlock, VersionList]] = []
@@ -81,21 +85,26 @@ class GarbageCollector:
         #: Times the pin was dropped to break allocation-pressure
         #: starvation (see :meth:`emergency_collect`).
         self.pin_drops = 0
-        #: Callbacks ``fn(vaddr, version)`` fired when a version is
-        #: reclaimed (the manager drops compressed-line entries).
-        self.reclaim_hooks: list[Callable[[int, int], None]] = []
-        #: Callbacks ``fn(vaddr, version)`` fired when a version becomes
-        #: shadowed.  Pairing a shadow event with the matching reclaim
-        #: event gives the reclamation-lag distribution (repro.obs).
-        self.shadow_hooks: list[Callable[[int, int], None]] = []
-        #: Callbacks ``fn(event)`` observing phase boundaries; ``event``
-        #: is "start", "end" or "emergency" (repro.obs span recording).
-        self.phase_hooks: list[Callable[[str], None]] = []
+        #: ``fn(vaddr, version)`` called for every reclaimed version
+        #: before the ``reclaim`` event: the manager drops its
+        #: compressed-line entries.
+        self.on_reclaim: Callable[[int, int], None] | None = None
         tracker.on_end.append(self._on_task_end)
 
     def _fire_phase(self, event: str) -> None:
-        for hook in self.phase_hooks:
-            hook(event)
+        for fn in self.events.gc_phase:
+            fn(event)
+
+    def _reclaim(self, block: VersionBlock, vlist: VersionList) -> None:
+        """Return one unreachable block to the free list."""
+        vlist.remove(block)
+        self.free_list.release(block.paddr)
+        vaddr, version = vlist.vaddr, block.version
+        if self.on_reclaim is not None:
+            self.on_reclaim(vaddr, version)
+        for fn in self.events.reclaim:
+            fn(vaddr, version)
+        self.stats.gc_reclaimed += 1
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -121,9 +130,8 @@ class GarbageCollector:
         block.shadowed_by = by
         self._shadowed.append((block, vlist))
         self.stats.shadowed_registered += 1
-        if self.shadow_hooks:
-            for hook in self.shadow_hooks:
-                hook(vlist.vaddr, block.version)
+        for fn in self.events.shadow:
+            fn(vlist.vaddr, block.version)
 
     def forget_block(self, block: VersionBlock) -> int:
         """Drop every queued entry for exactly this block; returns count.
@@ -182,8 +190,7 @@ class GarbageCollector:
             + [blk.shadowed_by for blk, _ in self._pending]
         )
         self.stats.gc_phases += 1
-        if self.phase_hooks:
-            self._fire_phase("start")
+        self._fire_phase("start")
         self._try_finalize()
 
     def _on_task_end(self, task_id: int) -> None:
@@ -235,8 +242,7 @@ class GarbageCollector:
         if not self.enabled:
             return 0
         self.stats.emergency_gc_phases += 1
-        if self.phase_hooks:
-            self._fire_phase("emergency")
+        self._fire_phase("emergency")
         freed, pin_kept = self._emergency_pass()
         if freed == 0 and pin_kept > 0:
             self.epoch_pin = None
@@ -244,8 +250,7 @@ class GarbageCollector:
             freed, _ = self._emergency_pass()
         if self._phase_active and not self._pending:
             self._phase_active = False
-            if self.phase_hooks:
-                self._fire_phase("end")
+            self._fire_phase("end")
         return freed
 
     def _emergency_pass(self) -> tuple[int, int]:
@@ -266,11 +271,7 @@ class GarbageCollector:
                     pin_kept += 1
                     kept.append((block, vlist))
                     continue
-                vlist.remove(block)
-                self.free_list.release(block.paddr)
-                for hook in self.reclaim_hooks:
-                    hook(vlist.vaddr, block.version)
-                self.stats.gc_reclaimed += 1
+                self._reclaim(block, vlist)
                 freed += 1
             queue[:] = kept
         return freed, pin_kept
@@ -330,19 +331,14 @@ class GarbageCollector:
                 self.stats.gc_pin_kept += 1
                 kept.append((block, vlist))
                 continue
-            vlist.remove(block)
-            self.free_list.release(block.paddr)
             # The dead block's cache lines are left alone: they may also
             # hold live version blocks (4 per 64 B line), and a stale dead
             # block is harmless — coherence handles the line when the
             # free-list reuses the address.
-            for hook in self.reclaim_hooks:
-                hook(vlist.vaddr, block.version)
-            self.stats.gc_reclaimed += 1
+            self._reclaim(block, vlist)
         self._pending = []
         for item in kept:
             item[0].shadowed = True
             self._shadowed.append(item)
         self._phase_active = False
-        if self.phase_hooks:
-            self._fire_phase("end")
+        self._fire_phase("end")

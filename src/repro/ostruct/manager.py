@@ -21,8 +21,13 @@ Blocking semantics (uncreated or locked versions) are delivered to the
 core as :class:`StallSignal`; the core registers a waiter and retries when
 the address is notified (store or unlock).  Writes to an O-structure's
 root line invalidate other cores' copies through the coherence directory,
-which — via the L1 eviction hooks — discards their compressed lines, the
-paper's "simplest course of action" for compressed-line coherence.
+which — via the hierarchy's L1-evict callback — discards their compressed
+lines, the paper's "simplest course of action" for compressed-line
+coherence.
+
+Observers and fault injection reach the manager only through the
+machine's :class:`~repro.sim.events.EventBus`: the ``tick``, ``op``,
+``notify`` and ``drop`` events are emitted here.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ from ..errors import (
     SimulationError,
     VersionExistsError,
 )
+from . import isa
 from .compression import CompressedLine
 from .version_block import VersionBlock, VersionList
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import MachineConfig
     from ..sim.engine import Simulator
+    from ..sim.events import EventBus
     from ..sim.hierarchy import MemoryHierarchy
     from ..sim.stats import SimStats
     from .free_list import FreeList
@@ -53,6 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (free-list backpressure).  Not a real address: it never names a page
 #: or a version list, and the deadlock diagnostics special-case it.
 ALLOC_WAIT = -1
+
+#: A ``notify`` subscriber's answer that swallows the wake-up: the
+#: waiters stay parked (see :meth:`OStructureManager._notify`).
+DROP_WAKE = object()
 
 
 class StallSignal(Exception):
@@ -78,6 +89,10 @@ class StallSignal(Exception):
         self.wait_addr = vaddr if wait_addr is None else wait_addr
         self.backpressure = backpressure
         super().__init__(f"stall at 0x{vaddr:x}: {reason}")
+
+
+#: Exceptions an op reports through the ``op`` event before re-raising.
+_OP_ERRORS = (StallSignal, VersionExistsError, NotLockedError, ProtectionFault)
 
 
 class _DirectEntry:
@@ -144,6 +159,31 @@ class _WakeBatch:
 class OStructureManager:
     """Implements the seven versioned-memory operations of Section II-A."""
 
+    __slots__ = (
+        "config",
+        "sim",
+        "hierarchy",
+        "page_table",
+        "free_list",
+        "gc",
+        "stats",
+        "events",
+        "metrics",
+        "ticks",
+        "lists",
+        "_direct",
+        "_block_index",
+        "_waiters",
+        "_batch_pool",
+        "_list_pool",
+        "roots",
+        "_memo_core",
+        "_memo_vaddr",
+        "_memo_entry",
+        "_created",
+        "_track_created",
+    )
+
     def __init__(
         self,
         *,
@@ -154,6 +194,7 @@ class OStructureManager:
         free_list: "FreeList",
         gc: "GarbageCollector",
         stats: "SimStats",
+        events: "EventBus",
     ):
         self.config = config
         self.sim = sim
@@ -162,6 +203,11 @@ class OStructureManager:
         self.free_list = free_list
         self.gc = gc
         self.stats = stats
+        #: The machine's event bus (``tick``/``op``/``notify``/``drop``).
+        self.events = events
+        #: Versioned ops completed so far: the ``tick`` ordinal that fault
+        #: plans and checkpoint markers trigger on.
+        self.ticks = 0
         #: Metrics registry (repro.obs), or ``None``: every instrumented
         #: path below gates on a single attribute check so the disabled
         #: configuration adds no measurable work (the perf gate enforces
@@ -191,10 +237,6 @@ class OStructureManager:
         self._memo_core: int = -1
         self._memo_vaddr: int = -1
         self._memo_entry: _DirectEntry | None = None
-        #: Callbacks ``fn(vaddr, version)`` fired when an aborted task's
-        #: uncommitted version is rolled back (distinct from GC reclaim
-        #: hooks: the sanitizer audits the two events differently).
-        self.drop_hooks: list[Callable[[int, int], None]] = []
         #: task id -> [(vaddr, version), ...] it created, in order.
         #: Tracked only when something can abort tasks (watchdog or an
         #: abort-task fault plan) — it is pure overhead otherwise.
@@ -203,24 +245,21 @@ class OStructureManager:
             config.watchdog_cycles > 0
             or any(f.kind == "abort-task" for f in config.faults)
         )
-        for core_id in range(config.num_cores):
-            hierarchy.add_l1_evict_hook(core_id, self._make_discard_hook(core_id))
-        gc.reclaim_hooks.append(self._on_reclaim)
+        hierarchy.on_l1_evict = self._on_l1_evict
+        gc.on_reclaim = self._on_reclaim
         gc.tracker.on_end.append(self._on_task_end)
 
     # ------------------------------------------------------------------
     # Compressed-line (direct access) state.
     # ------------------------------------------------------------------
 
-    def _make_discard_hook(self, core_id: int):
-        def hook(block: int) -> None:
-            vaddrs = self._block_index[core_id].pop(block, None)
-            if vaddrs:
-                self._memo_core = -1
-                for vaddr in vaddrs:
-                    self._direct[core_id].pop(vaddr, None)
-
-        return hook
+    def _on_l1_evict(self, core_id: int, block: int) -> None:
+        """Discard the compressed lines an evicted L1 block carried."""
+        vaddrs = self._block_index[core_id].pop(block, None)
+        if vaddrs:
+            self._memo_core = -1
+            for vaddr in vaddrs:
+                self._direct[core_id].pop(vaddr, None)
 
     def _on_reclaim(self, vaddr: int, version: int) -> None:
         for core_direct in self._direct:
@@ -333,10 +372,11 @@ class OStructureManager:
         """Re-deliver every parked wake-up (lost-wake recovery).
 
         Pops every waiter list and schedules the callbacks directly,
-        bypassing ``_notify`` — which a fault injector may have wrapped
-        to drop wake-ups in the first place.  Harmless when the waits
-        are legitimate: a premature retry that still cannot complete
-        simply re-parks.  Returns the number of waiters woken.
+        bypassing the ``notify`` event — whose subscriber (a fault
+        injector) may be what dropped the wake-ups in the first place.
+        Harmless when the waits are legitimate: a premature retry that
+        still cannot complete simply re-parks.  Returns the number of
+        waiters woken.
         """
         woken = 0
         for vaddr in list(self._waiters):
@@ -374,11 +414,26 @@ class OStructureManager:
         events between consecutive waiter seqs), so simulated time and
         event ordering are identical to the per-waiter scheme while the
         heap churn is O(1) per notification instead of O(waiters).
+
+        ``notify`` subscribers are asked before the waiters are popped;
+        the first non-None answer is either a later delivery delay or
+        :data:`DROP_WAKE`, which leaves the waiters parked.
         """
-        cbs = self._waiters.pop(vaddr, None)
+        waiters = self._waiters
+        cbs = waiters.get(vaddr)
         if not cbs:
             return
-        self._schedule_wake(cbs, 1)
+        delay = 1
+        subs = self.events.notify
+        if subs:
+            for fn in subs:
+                verdict = fn(vaddr)
+                if verdict is not None and delay == 1:
+                    delay = verdict
+            if delay is DROP_WAKE:
+                return
+        del waiters[vaddr]
+        self._schedule_wake(cbs, delay)
 
     # ------------------------------------------------------------------
     # Shared lookup machinery.
@@ -389,13 +444,21 @@ class OStructureManager:
         self.roots.add(vaddr)
 
     def _extra(self) -> int:
-        """Injected latency plus GC interference.
+        """Fire ``tick``, then return injected latency plus GC interference.
 
-        While a collection phase is active the collector shares the
-        cache/manager ports with the program, which costs one extra cycle
-        per versioned operation — the source of the paper's ~0.1%
-        GC overhead (Section IV-F).
+        Called exactly once per completed versioned operation, so
+        ``ticks`` is the op ordinal fault plans and checkpoint markers
+        trigger on.  While a collection phase is active the collector
+        shares the cache/manager ports with the program, which costs one
+        extra cycle per versioned operation — the source of the paper's
+        ~0.1% GC overhead (Section IV-F).
         """
+        self.ticks += 1
+        subs = self.events.tick
+        if subs:
+            ticks = self.ticks
+            for fn in subs:
+                fn(ticks)
         lat = self.config.versioned_op_extra_latency
         if self.gc.phase_active:
             lat += 1
@@ -484,11 +547,95 @@ class OStructureManager:
         return lat, block, False
 
     # ------------------------------------------------------------------
-    # The seven operations.
+    # The seven operations.  Each public method runs its ``_``-prefixed
+    # body and, when the ``op`` event has subscribers, reports the
+    # outcome; internal calls go through the public names, so they are
+    # reported too.
     # ------------------------------------------------------------------
+
+    def _observed(self, name: str, body: Callable, *args: Any) -> Any:
+        """Run one op body and emit ``op`` with its result or error."""
+        try:
+            out = body(*args)
+        except _OP_ERRORS as exc:
+            for fn in self.events.op:
+                fn(name, args, None, exc)
+            raise
+        for fn in self.events.op:
+            fn(name, args, out, None)
+        return out
 
     def load_version(self, core_id: int, vaddr: int, version: int) -> tuple[int, Any]:
         """LOAD-VERSION: exact-version read (Section II-A)."""
+        if self.events.op:
+            return self._observed(
+                isa.LOAD_VERSION, self._load_version, core_id, vaddr, version
+            )
+        return self._load_version(core_id, vaddr, version)
+
+    def load_latest(self, core_id: int, vaddr: int, cap: int) -> tuple[int, tuple[int, Any]]:
+        """LOAD-LATEST: highest created version <= cap."""
+        if self.events.op:
+            return self._observed(
+                isa.LOAD_LATEST, self._load_latest, core_id, vaddr, cap
+            )
+        return self._load_latest(core_id, vaddr, cap)
+
+    def store_version(
+        self, core_id: int, vaddr: int, version: int, value: Any, task_id: int | None = None
+    ) -> tuple[int, None]:
+        """STORE-VERSION: create a new, immutable version."""
+        if self.events.op:
+            return self._observed(
+                isa.STORE_VERSION, self._store_version,
+                core_id, vaddr, version, value, task_id,
+            )
+        return self._store_version(core_id, vaddr, version, value, task_id)
+
+    def lock_load_version(
+        self, core_id: int, vaddr: int, version: int, task_id: int
+    ) -> tuple[int, Any]:
+        """LOCK-LOAD-VERSION: exact read plus lock."""
+        if self.events.op:
+            return self._observed(
+                isa.LOCK_LOAD_VERSION, self._lock_load_version,
+                core_id, vaddr, version, task_id,
+            )
+        return self._lock_load_version(core_id, vaddr, version, task_id)
+
+    def lock_load_latest(
+        self, core_id: int, vaddr: int, cap: int, task_id: int
+    ) -> tuple[int, tuple[int, Any]]:
+        """LOCK-LOAD-LATEST: capped read plus lock."""
+        if self.events.op:
+            return self._observed(
+                isa.LOCK_LOAD_LATEST, self._lock_load_latest,
+                core_id, vaddr, cap, task_id,
+            )
+        return self._lock_load_latest(core_id, vaddr, cap, task_id)
+
+    def unlock_version(
+        self,
+        core_id: int,
+        vaddr: int,
+        version: int,
+        task_id: int,
+        new_version: int | None = None,
+    ) -> tuple[int, None]:
+        """UNLOCK-VERSION: release a lock, optionally renaming (Section II-A).
+
+        When ``new_version`` is given, an unlocked version carrying the
+        same value is created — the renaming step of hand-over-hand
+        pipelining.
+        """
+        if self.events.op:
+            return self._observed(
+                isa.UNLOCK_VERSION, self._unlock_version,
+                core_id, vaddr, version, task_id, new_version,
+            )
+        return self._unlock_version(core_id, vaddr, version, task_id, new_version)
+
+    def _load_version(self, core_id: int, vaddr: int, version: int) -> tuple[int, Any]:
         lat, block, _ = self._locate(core_id, vaddr, version=version)
         if block is None:
             raise StallSignal(vaddr, f"version {version} not yet created")
@@ -496,8 +643,7 @@ class OStructureManager:
             raise StallSignal(vaddr, f"version {version} locked by {block.locked_by}")
         return lat + self._extra(), block.value
 
-    def load_latest(self, core_id: int, vaddr: int, cap: int) -> tuple[int, tuple[int, Any]]:
-        """LOAD-LATEST: highest created version <= cap."""
+    def _load_latest(self, core_id: int, vaddr: int, cap: int) -> tuple[int, tuple[int, Any]]:
         lat, block, _ = self._locate(core_id, vaddr, cap=cap)
         if block is None:
             raise StallSignal(vaddr, f"no version <= {cap} created yet")
@@ -544,10 +690,9 @@ class OStructureManager:
             "shadowed block can ever be reclaimed"
         )
 
-    def store_version(
-        self, core_id: int, vaddr: int, version: int, value: Any, task_id: int | None = None
+    def _store_version(
+        self, core_id: int, vaddr: int, version: int, value: Any, task_id: int | None
     ) -> tuple[int, None]:
-        """STORE-VERSION: create a new, immutable version."""
         lst = self._get_list(vaddr, create=True)
         assert lst is not None
         lat = self._extra()
@@ -580,10 +725,9 @@ class OStructureManager:
         self._notify(vaddr)
         return lat, None
 
-    def lock_load_version(
+    def _lock_load_version(
         self, core_id: int, vaddr: int, version: int, task_id: int
     ) -> tuple[int, Any]:
-        """LOCK-LOAD-VERSION: exact read plus lock."""
         lat, block, _ = self._locate(core_id, vaddr, version=version)
         if block is None:
             raise StallSignal(vaddr, f"version {version} not yet created")
@@ -591,10 +735,9 @@ class OStructureManager:
             raise StallSignal(vaddr, f"version {version} locked by {block.locked_by}")
         return lat + self._lock(core_id, vaddr, block, task_id) + self._extra(), block.value
 
-    def lock_load_latest(
+    def _lock_load_latest(
         self, core_id: int, vaddr: int, cap: int, task_id: int
     ) -> tuple[int, tuple[int, Any]]:
-        """LOCK-LOAD-LATEST: capped read plus lock."""
         lat, block, _ = self._locate(core_id, vaddr, cap=cap)
         if block is None:
             raise StallSignal(vaddr, f"no version <= {cap} created yet")
@@ -613,20 +756,14 @@ class OStructureManager:
         self._cache_version(core_id, vaddr, block)
         return lat
 
-    def unlock_version(
+    def _unlock_version(
         self,
         core_id: int,
         vaddr: int,
         version: int,
         task_id: int,
-        new_version: int | None = None,
+        new_version: int | None,
     ) -> tuple[int, None]:
-        """UNLOCK-VERSION: release a lock, optionally renaming (Section II-A).
-
-        When ``new_version`` is given, an unlocked version carrying the
-        same value is created — the renaming step of hand-over-hand
-        pipelining.
-        """
         lat, block, _ = self._locate(core_id, vaddr, version=version)
         if block is None:
             raise NotLockedError(f"version {version} of 0x{vaddr:x} does not exist")
@@ -681,8 +818,8 @@ class OStructureManager:
         """
         # Release locks first: a version the task created *and* locked
         # must be unlocked before the drop below can remove it.  Going
-        # through self.unlock_version keeps the sanitizer's mirror (and
-        # its waiter notification) in the loop.
+        # through self.unlock_version reports each unlock on the ``op``
+        # event (the sanitizer mirrors it) and notifies its waiters.
         for vaddr, lst in list(self.lists.items()):
             for block in list(lst):
                 if block.locked_by == task_id:
@@ -713,8 +850,8 @@ class OStructureManager:
             entry = core_direct.get(vaddr)
             if entry is not None:
                 entry.drop(version)
-        for hook in self.drop_hooks:
-            hook(vaddr, version)
+        for fn in self.events.drop:
+            fn(vaddr, version)
         if self._waiters.get(ALLOC_WAIT):
             self._notify(ALLOC_WAIT)
         return True
@@ -735,6 +872,11 @@ class OStructureManager:
         the address); locked versions or parked waiters indicate a
         violation and fault.
         """
+        if self.events.op:
+            return self._observed("free_ostructure", self._free_ostructure, vaddr)
+        return self._free_ostructure(vaddr)
+
+    def _free_ostructure(self, vaddr: int) -> int:
         lst = self.lists.pop(vaddr, None)
         if lst is None:
             return 0

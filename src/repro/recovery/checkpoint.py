@@ -22,10 +22,11 @@ the old state or the new state, never a truncated image (the same
 guarantee the sweep runner's row cache makes, hardened here too).
 
 The :class:`Checkpointer` drives capture from inside a live machine.  It
-wraps ``manager._extra`` (the once-per-versioned-op chokepoint, exactly
-like the fault injector, with which it composes) and, at every multiple
-of ``every``, defers a *marker event* via ``sim.schedule(0, ...)`` so
-the version store is quiescent when the walk happens.  At a marker it
+subscribes to the machine's ``tick`` event (emitted once per completed
+versioned op with the manager's op ordinal — the same clock the fault
+injector triggers on) and, at every multiple of ``every``, defers a
+*marker event* via ``sim.schedule(0, ...)`` so the version store is
+quiescent when the walk happens.  At a marker it
 always does the same three deterministic things — bump
 ``stats.checkpoints_reached``, pin the GC's reclaim bound at the current
 version frontier, capture the state — and then either *writes* the image
@@ -275,9 +276,7 @@ class Checkpoint:
         return cls(
             marker=marker,
             every=every,
-            op_index=getattr(machine, "checkpointer", None).op_index
-            if getattr(machine, "checkpointer", None) is not None
-            else machine.stats.versioned_ops,
+            op_index=machine.manager.ticks,
             cycle=machine.sim.now,
             digest=state_digest(state),
             state=state,
@@ -388,12 +387,14 @@ def find_latest_valid_image(
 class Checkpointer:
     """Captures (or verifies) an epoch checkpoint every N versioned ops.
 
-    Wraps ``manager._extra`` with the same instance-attribute idiom the
-    fault injector uses; when both are attached the checkpointer wraps
-    the injector's wrapper, so the two count the same op ordinals.  The
-    actual marker work is deferred to a fresh delay-0 event because
-    ``_extra`` runs mid-dispatch, while the version store is still being
-    mutated by the op in flight.
+    A ``tick`` subscriber, like the fault injector: both read the
+    manager's op ordinal, so they count the same ops.  The actual marker
+    work is deferred to a fresh delay-0 event because ``tick`` fires
+    mid-dispatch, while the version store is still being mutated by the
+    op in flight.  Subscribers fire in attach order, so when a marker
+    and a deferred fault fall on the same op, whichever subscribed first
+    schedules its event first (a machine arms its config fault plan
+    after its observers, so an observer-attached checkpointer wins).
 
     ``verify`` maps marker numbers to images from a previous incarnation
     of the same run; at those markers the checkpointer compares digests
@@ -417,36 +418,23 @@ class Checkpointer:
         self.directory = Path(directory)
         self.every = int(every)
         self.verify = dict(verify or {})
-        #: Info dict fired once through ``machine.recovery_hook`` at the
+        #: Info dict emitted once as a ``recovery`` "restore" event at the
         #: first marker (repro.obs span integration for restores).
         self.announce = dict(announce) if announce else None
-        self.op_index = 0
         self.marker = 0
         #: Markers whose image this run wrote / verified.
         self.captured: list[int] = []
         self.verified: list[int] = []
         self._marker_pending = False
-        self._detached = False
-        manager = machine.manager
-        # Remember whether _extra was already an instance attribute (the
-        # fault injector's wrapper): detach() then restores the captured
-        # callable; otherwise it deletes ours so the plain class method
-        # shows through again — disabled checkpointing leaves no trace.
-        self._had_instance_extra = "_extra" in vars(manager)
-        self._orig_extra = manager._extra
-        manager._extra = self._extra
+        machine.events.subscribe("tick", self._on_tick)
         machine.checkpointer = self
 
-    # -- wrapped chokepoint --------------------------------------------------
-
-    def _extra(self) -> int:
-        self.op_index += 1
-        if not self._marker_pending and self.op_index % self.every == 0:
+    def _on_tick(self, ordinal: int) -> None:
+        if not self._marker_pending and ordinal % self.every == 0:
             # Defer to a fresh event: the op that brought us here is
             # still mid-dispatch and the store is not yet quiescent.
             self._marker_pending = True
             self.machine.sim.schedule(0, self._at_marker)
-        return self._orig_extra()
 
     # -- marker work ---------------------------------------------------------
 
@@ -458,8 +446,8 @@ class Checkpointer:
         m.stats.checkpoints_reached += 1
         if self.announce is not None:
             info, self.announce = self.announce, None
-            if m.recovery_hook is not None:
-                m.recovery_hook("restore", info)
+            for fn in m.events.recovery:
+                fn("restore", info)
         # Pin the GC's reclaim bound at this epoch's version frontier:
         # nothing live at this marker may be reclaimed until the next
         # marker advances the pin (see repro.ostruct.gc).
@@ -474,7 +462,7 @@ class Checkpointer:
             if ref.digest != ck.digest:
                 raise CheckpointError(
                     f"replay diverged from checkpoint image at marker "
-                    f"{marker} (op {self.op_index}, cycle {m.sim.now}): "
+                    f"{marker} (op {m.manager.ticks}, cycle {m.sim.now}): "
                     f"digest {ck.digest[:12]} != recorded {ref.digest[:12]}"
                 )
             self.verified.append(marker)
@@ -485,15 +473,7 @@ class Checkpointer:
     # -- lifecycle -----------------------------------------------------------
 
     def detach(self) -> None:
-        """Restore the wrapped chokepoint (only if still ours)."""
-        if self._detached:
-            return
-        self._detached = True
-        manager = self.machine.manager
-        if manager._extra == self._extra:
-            if self._had_instance_extra:
-                manager._extra = self._orig_extra
-            else:
-                del manager._extra
-        if getattr(self.machine, "checkpointer", None) is self:
+        """Stop checkpointing: unsubscribe, drop the back-pointer."""
+        self.machine.events.unsubscribe("tick", self._on_tick)
+        if self.machine.checkpointer is self:
             self.machine.checkpointer = None

@@ -21,7 +21,7 @@ and skipped — recovery falls back to the previous valid image and
 re-verifies/re-captures from there.
 
 Recovery is *observable*: the first marker of a restored run fires a
-``"restore"`` event through ``machine.recovery_hook``, so a
+``recovery`` event (``"restore"``) on ``machine.events``, so a
 :class:`repro.obs.SpanRecorder` shows restores on the same track as
 watchdog recoveries, and the returned :class:`RecoveryReport` carries
 the counters.

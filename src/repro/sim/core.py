@@ -38,6 +38,7 @@ class Core:
         "core_id",
         "machine",
         "sim",
+        "events",
         "queue",
         "current",
         "_gen",
@@ -62,6 +63,7 @@ class Core:
         self.core_id = core_id
         self.machine = machine
         self.sim = machine.sim
+        self.events = machine.events
         self.queue: deque[Task] = deque()
         self.current: Task | None = None
         self._gen: Generator[tuple, Any, Any] | None = None
@@ -155,9 +157,8 @@ class Core:
         self._gen = task.make_generator()
         self.machine.tracker.begin(task.task_id)
         self.machine.stats.tasks_started += 1
-        hook = self.machine.task_hook
-        if hook is not None:
-            hook("begin", task.task_id, self.core_id)
+        for fn in self.events.task:
+            fn("begin", task.task_id, self.core_id)
         self._resume_value = None
         self._schedule_resume(TASK_BEGIN_CYCLES)
 
@@ -168,9 +169,8 @@ class Core:
         task.finished = True
         self.machine.tracker.end(task.task_id)
         self.machine.stats.tasks_finished += 1
-        hook = self.machine.task_hook
-        if hook is not None:
-            hook("end", task.task_id, self.core_id)
+        for fn in self.events.task:
+            fn("end", task.task_id, self.core_id)
         self.current = None
         self._gen = None
         if self.queue:
@@ -228,14 +228,16 @@ class Core:
         try:
             latency, result = self._dispatch(op)
         except StallSignal as sig:
-            hook = self.machine.trace_hook
-            if hook is not None:
-                hook(self.core_id, self._current_tid(), op, 0, True)
+            retire = self.events.retire
+            if retire:
+                for fn in retire:
+                    fn(self.core_id, self._current_tid(), op, 0, True)
             self._park(op, sig, retry)
             return
-        hook = self.machine.trace_hook
-        if hook is not None:
-            hook(self.core_id, self._current_tid(), op, latency, False)
+        retire = self.events.retire
+        if retire:
+            for fn in retire:
+                fn(self.core_id, self._current_tid(), op, latency, False)
         if result is _RW_PARKED:
             # Queued on a rwlock; the grant callback resumes the core.
             return
@@ -303,9 +305,8 @@ class Core:
             self._gen = None
         m.manager.abort_task(self.core_id, task.task_id)
         m.stats.tasks_retried += 1
-        hook = m.task_hook
-        if hook is not None:
-            hook("abort", task.task_id, self.core_id)
+        for fn in self.events.task:
+            fn("abort", task.task_id, self.core_id)
         self._restart_delay = delay
         self._resume_value = None
         if deferred:
@@ -319,9 +320,8 @@ class Core:
         task = self.current
         assert task is not None
         self._gen = task.make_generator()
-        hook = self.machine.task_hook
-        if hook is not None:
-            hook("begin", task.task_id, self.core_id)
+        for fn in self.events.task:
+            fn("begin", task.task_id, self.core_id)
         self._resume_value = None
         self._schedule_resume(self._restart_delay)
 

@@ -20,10 +20,10 @@ Byte-identity is by construction, not by approximation:
   back to the ordinary ``schedule``-a-resume tail and the block ends.
 - every op is dispatched through the same state mutations in the same
   order: stats counters, page-table checks, functional memory, hierarchy
-  access, trace hooks.  Versioned / lock / task ops are never fused —
-  they are handed back to ``Core._execute`` untouched, so stalls,
-  aborts, fault injection, the sanitizer and checkpoint markers all
-  observe them per-op exactly as before.
+  access, ``retire`` subscribers.  Versioned / lock / task ops are
+  never fused — they are handed back to ``Core._execute`` untouched, so
+  stalls, aborts, fault injection, the sanitizer and checkpoint markers
+  all observe them per-op exactly as before.
 - conventional accesses that hit in the L1 are charged through an
   inlined copy of ``access``'s hit branch (lookup + recency bump + hit
   counter + exclusive acquisition on writes).  A missed ``lookup``
@@ -114,8 +114,8 @@ def make_interpreter(core: "Core"):
     machine-lifetime-stable state — caches, directory, stats objects,
     config scalars, the page table, functional memory — is therefore
     captured in closure cells *once*, at machine build time; a call
-    binds only what can legitimately differ per block (the trace hook
-    and the current task id).
+    binds only what can legitimately differ per block (the ``retire``
+    subscribers and the current task id).
 
     The returned ``run_block(gen, send_value)`` drives ``gen`` through
     one fused block and returns the op that ended it: ``None`` when the
@@ -124,6 +124,7 @@ def make_interpreter(core: "Core"):
     for the caller's ordinary per-op path.
     """
     m = core.machine
+    events = m.events
     stats = m.stats
     fstats = m.fuse_stats
     hierarchy = m.hierarchy
@@ -144,10 +145,10 @@ def make_interpreter(core: "Core"):
     def run_block(
         gen: Generator[tuple, Any, Any], first_op: tuple
     ) -> tuple | None:
-        # Stable for the whole block: hooks can only be (de)attached by
-        # an event, and an unbroken fused run fires none.
-        hook = m.trace_hook
-        tid = core.current.task_id if hook is not None else 0  # type: ignore[union-attr]
+        # Stable for the whole block: subscribers can only be
+        # (de)attached by an event, and an unbroken fused run fires none.
+        retire = events.retire
+        tid = core.current.task_id if retire else 0  # type: ignore[union-attr]
         send = gen.send
         op = first_op
         # Counter deltas batched in locals and flushed once per block:
@@ -205,8 +206,9 @@ def make_interpreter(core: "Core"):
                     return op
                 n_ops += 1
                 d_busy += latency
-                if hook is not None:
-                    hook(cid, tid, op, latency, False)
+                if retire:
+                    for fn in retire:
+                        fn(cid, tid, op, latency, False)
                 if sim._inline and not (
                     sim._count or sim._over or sim._solo_fn is not None
                 ):

@@ -10,6 +10,8 @@ only the block holding the requested version is.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..config import MachineConfig
 from .cache import Cache
 from .coherence import Directory
@@ -20,7 +22,7 @@ from .stats import SimStats
 class MemoryHierarchy:
     """Table II memory system for ``config.num_cores`` cores."""
 
-    __slots__ = ("config", "stats", "l1s", "l2", "dram", "directory", "_extra_hooks")
+    __slots__ = ("config", "stats", "l1s", "l2", "dram", "directory", "on_l1_evict")
 
     def __init__(self, config: MachineConfig, stats: SimStats):
         self.config = config
@@ -34,21 +36,17 @@ class MemoryHierarchy:
         # Keep the directory consistent when LRU eviction drops a block.
         for i, l1 in enumerate(self.l1s):
             l1.evict_hook = self._make_evict_hook(i)
-        #: Extra per-core hooks (the O-structure manager registers one per
-        #: core to discard compressed version-block lines).
-        self._extra_hooks: list[list] = [[] for _ in range(config.num_cores)]
+        #: ``fn(core_id, block)`` called when an L1 drops a block (the
+        #: O-structure manager discards compressed version-block lines).
+        self.on_l1_evict: Callable[[int, int], None] | None = None
 
     def _make_evict_hook(self, core_id: int):
         def hook(block: int) -> None:
             self.directory.note_eviction(core_id, block)
-            for fn in self._extra_hooks[core_id]:
-                fn(block)
+            if self.on_l1_evict is not None:
+                self.on_l1_evict(core_id, block)
 
         return hook
-
-    def add_l1_evict_hook(self, core_id: int, fn) -> None:
-        """Register ``fn(block)`` to fire when ``core_id``'s L1 drops a block."""
-        self._extra_hooks[core_id].append(fn)
 
     # ------------------------------------------------------------------
 

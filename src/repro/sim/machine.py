@@ -14,6 +14,10 @@ drains the event heap and then checks that every task finished — if cores
 are still parked on version waiter queues or rwlock queues, the run
 deadlocked and a :class:`~repro.errors.DeadlockError` describes exactly
 who was waiting on what.
+
+Tracers, span recorders, metrics, the sanitizer, fault injection and
+checkpoints all attach through ``machine.events``, one
+:class:`~repro.sim.events.EventBus` shared by every component.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from ..runtime.scheduler import StaticScheduler
 from ..runtime.task import Task, TaskTracker
 from .core import Core
 from .engine import Simulator
+from .events import EventBus
 from .fuse import FuseStats, env_enabled as _fuse_env_enabled
 from .hierarchy import MemoryHierarchy
 from .stats import SimStats
@@ -68,6 +73,8 @@ class Machine:
         self.config = config or MachineConfig()
         self.sim = Simulator()
         self.stats = SimStats()
+        #: The event bus every observer and interposer subscribes to.
+        self.events = EventBus()
         self.hierarchy = MemoryHierarchy(self.config, self.stats)
         self.page_table = PageTable()
         self.heap = SimHeap(self.page_table)
@@ -86,6 +93,7 @@ class Machine:
             tracker=self.tracker,
             hierarchy=self.hierarchy,
             stats=self.stats,
+            events=self.events,
             watermark=self.config.gc_watermark,
         )
         self.manager = OStructureManager(
@@ -96,6 +104,7 @@ class Machine:
             free_list=self.free_list,
             gc=self.gc,
             stats=self.stats,
+            events=self.events,
         )
         #: Effective fusion switch the cores read at build time:
         #: ``config.fused`` unless ``REPRO_FUSED`` disables it globally.
@@ -107,28 +116,13 @@ class Machine:
         #: Micro-ops retired across all cores; the watchdog's progress
         #: signal (a plain int, bumped on the core retire path).
         self.retired_ops = 0
-        #: Optional ``fn(core, task, op_tuple, latency, stalled)`` called
-        #: for every retired (or stalled) micro-op; see repro.sim.trace.
-        #: Always the *effective* hook the cores call: ``None``, the sole
-        #: registered hook, or a composed dispatcher over all of them.
-        #: Attach via :meth:`add_trace_hook` — multiple consumers (a
-        #: Tracer, the sanitizer, a span recorder) chain in order.
-        self.trace_hook = None
-        self._trace_hooks: list = []
-        self._chained_trace_hook = None
-        #: Optional ``fn(event, task_id, core_id)`` observing the task
-        #: lifecycle; ``event`` is "begin", "end" or "abort" (repro.obs).
-        self.task_hook = None
-        #: Optional ``fn(event, info)`` observing watchdog recoveries;
-        #: ``event`` is "trip", "abort", "kick" or "gave_up" (repro.obs).
-        self.recovery_hook = None
         #: Metrics registry (repro.obs), attached when ``config.metrics``
         #: is set or via ``repro.obs.attach_metrics``.  ``None`` keeps
         #: every instrumented path to a single attribute check.
         self.metrics = None
         #: Epoch checkpointer (repro.recovery), attached externally the
         #: same way metrics are; ``None`` keeps checkpointing at zero
-        #: hot-path cost (it only ever wraps ``manager._extra``).
+        #: hot-path cost (it only subscribes to the ``tick`` event).
         self.checkpointer = None
         #: Every rwlock built through :meth:`new_rwlock`, so state
         #: capture (repro.recovery) can walk them.
@@ -148,18 +142,13 @@ class Machine:
                 kick_limit=self.config.watchdog_kick_limit,
             )
         #: Deterministic fault injector, armed when ``config.faults`` is
-        #: non-empty.  Imported lazily — repro.faults reaches back into
-        #: the sim layer.
+        #: non-empty (after the machine observers; see below).
         self.injector = None
-        if self.config.faults:
-            from ..faults.injector import FaultInjector
-
-            self.injector = FaultInjector(self, self.config.faults)
         #: The repro.check sanitizer, when checked mode is on.
         self.sanitizer = None
         if self.config.checked if checked is None else checked:
-            # Imported here: repro.check wraps the manager built above,
-            # and importing it at module scope would be circular.
+            # Imported here: repro.check subscribes to the bus built
+            # above, and importing it at module scope would be circular.
             from ..check.sanitizer import Sanitizer
 
             self.sanitizer = Sanitizer(self, interval=check_interval)
@@ -171,62 +160,15 @@ class Machine:
             attach_metrics(self)
         for observe in _machine_observers:
             observe(self)
+        if self.config.faults:
+            # Armed last, so a checkpointer attached by an observer
+            # subscribes to ``tick`` first: a marker and a deferred fault
+            # due on the same op schedule the marker first, and a crash
+            # there still leaves that marker's image behind.  Imported
+            # lazily — repro.faults reaches back into the sim layer.
+            from ..faults.injector import FaultInjector
 
-    # -- trace-hook chaining ------------------------------------------------------
-
-    def add_trace_hook(self, fn: Callable) -> None:
-        """Register a per-op trace hook; hooks are called in attach order.
-
-        Historically consumers assigned ``machine.trace_hook`` directly,
-        which meant a second consumer silently displaced the first.  The
-        hot path still reads the single ``trace_hook`` attribute (kept as
-        ``None`` / the sole hook / a composed dispatcher), so chaining
-        costs nothing when at most one consumer is attached.  A hook that
-        was assigned directly is absorbed into the chain rather than
-        displaced.  Attaching the same hook twice raises.
-        """
-        current = self.trace_hook
-        if (
-            current is not None
-            and current is not self._chained_trace_hook
-            and current not in self._trace_hooks
-        ):
-            # Absorb a hook installed by direct assignment (legacy API).
-            self._trace_hooks.append(current)
-        if fn in self._trace_hooks:
-            raise SimulationError("trace hook already attached")
-        self._trace_hooks.append(fn)
-        self._rebuild_trace_hook()
-
-    def remove_trace_hook(self, fn: Callable) -> bool:
-        """Unregister ``fn``; True if it was attached (in any order)."""
-        if fn in self._trace_hooks:
-            self._trace_hooks.remove(fn)
-            self._rebuild_trace_hook()
-            return True
-        if self.trace_hook is fn:
-            # Directly assigned, never registered: clear it.
-            self.trace_hook = None
-            return True
-        return False
-
-    def _rebuild_trace_hook(self) -> None:
-        hooks = self._trace_hooks
-        if not hooks:
-            self._chained_trace_hook = None
-            self.trace_hook = None
-        elif len(hooks) == 1:
-            self._chained_trace_hook = None
-            self.trace_hook = hooks[0]
-        else:
-            chain = tuple(hooks)
-
-            def chained(core, task, op_tuple, latency, stalled, _chain=chain):
-                for hook in _chain:
-                    hook(core, task, op_tuple, latency, stalled)
-
-            self._chained_trace_hook = chained
-            self.trace_hook = chained
+            self.injector = FaultInjector(self, self.config.faults)
 
     # -- convenience constructors ------------------------------------------------
 

@@ -92,7 +92,6 @@ class Tracer:
         "dropped",
         "recorded",
         "_op_counts",
-        "_hook",
     )
 
     def __init__(
@@ -112,8 +111,7 @@ class Tracer:
         self.dropped = 0
         self.recorded = 0
         self._op_counts: Counter[str] = Counter()
-        self._hook = self._record  # stable bound-method object for detach()
-        machine.add_trace_hook(self._hook)
+        machine.events.subscribe("retire", self._record)
 
     # -- filtering ------------------------------------------------------------
 
@@ -130,7 +128,7 @@ class Tracer:
                 return False
         return True
 
-    # -- recording (called by the core) -----------------------------------------
+    # -- recording (the ``retire`` subscriber) -----------------------------------
 
     def _record(
         self,
@@ -200,5 +198,5 @@ class Tracer:
         }
 
     def detach(self) -> None:
-        """Stop recording.  Idempotent; other attached hooks keep running."""
-        self.machine.remove_trace_hook(self._hook)
+        """Stop recording.  Idempotent; other subscribers keep running."""
+        self.machine.events.unsubscribe("retire", self._record)

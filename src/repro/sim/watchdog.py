@@ -106,9 +106,7 @@ class Watchdog:
                 m.sim.schedule(self.cycle_budget, self._tick_cb)
             return
         m.stats.watchdog_trips += 1
-        hook = m.recovery_hook
-        if hook is not None:
-            hook("trip", {"blocked_cores": [c.core_id for c in blocked]})
+        self._fire("trip", {"blocked_cores": [c.core_id for c in blocked]})
         acted = self._recover(blocked)
         if acted or m.sim.pending_events:
             m.sim.schedule(self.cycle_budget, self._tick_cb)
@@ -171,6 +169,5 @@ class Watchdog:
         return False
 
     def _fire(self, event: str, info: dict) -> None:
-        hook = self.machine.recovery_hook
-        if hook is not None:
-            hook(event, info)
+        for fn in self.machine.events.recovery:
+            fn(event, info)

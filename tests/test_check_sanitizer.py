@@ -17,6 +17,7 @@ from repro import Machine, MachineConfig, Task, Versioned
 from repro.check import CheckViolation
 from repro.check.sanitizer import Sanitizer
 from repro.ostruct.manager import StallSignal
+from repro.sim.events import EVENTS
 
 
 def small_checked(**kw) -> Machine:
@@ -96,10 +97,10 @@ class TestFaultInjection:
         return m, addr
 
     def test_skipped_reclaim_invalidation_caught(self):
-        # THE acceptance-criterion fault: drop the manager's reclaim hook
+        # THE acceptance-criterion fault: drop the manager's reclaim callback
         # so GC'd versions linger in compressed lines and the PR-1 memo.
         m, addr = self._primed_machine()
-        m.gc.reclaim_hooks.remove(m.manager._on_reclaim)
+        m.gc.on_reclaim = None
         m.gc.start_phase()  # no live tasks: reclaims v1 and v2 at once
         assert m.stats.gc_reclaimed == 2
         with pytest.raises(CheckViolation) as ei:
@@ -111,7 +112,7 @@ class TestFaultInjection:
         # Even before any load, the stale compressed entry (and memo)
         # violate the structural invariants.
         m, addr = self._primed_machine()
-        m.gc.reclaim_hooks.remove(m.manager._on_reclaim)
+        m.gc.on_reclaim = None
         m.gc.start_phase()
         with pytest.raises(CheckViolation) as ei:
             m.sanitizer.check_now()
@@ -160,7 +161,7 @@ class TestReporting:
         m = small_checked()
         addr = m.heap.alloc_versioned(4)
         m.manager.store_version(0, addr, 1, "a")
-        m.gc.reclaim_hooks.remove(m.manager._on_reclaim)
+        m.gc.on_reclaim = None
         m.manager.store_version(0, addr, 2, "b")
         m.manager.store_version(0, addr, 3, "c")
         m.gc.start_phase()
@@ -233,15 +234,14 @@ class TestInstallUninstall:
         m = small_checked()
         addr = m.heap.alloc_versioned(4)
         mgr = m.manager
-        assert "load_version" in vars(mgr)  # instance-attribute wrapper
+        assert m.sanitizer._on_op in m.events.op
         m.sanitizer.uninstall()
-        assert "load_version" not in vars(mgr)
-        # Back to the plain class methods; no oracle mirroring happens.
+        # Nothing was patched: unsubscribing leaves the bus empty, and
+        # ops reach no oracle.
+        assert all(getattr(m.events, event) == () for event in EVENTS)
         mirrored = m.sanitizer.oracle.ops_mirrored
         mgr.store_version(0, addr, 1, "a")
         assert m.sanitizer.oracle.ops_mirrored == mirrored
-        assert m.sanitizer._on_reclaim not in m.gc.reclaim_hooks
-        assert m.trace_hook is None
 
     def test_checked_flag_via_config(self):
         m = Machine(MachineConfig(num_cores=2, checked=True))

@@ -90,10 +90,10 @@ def test_directory_tracks_l1_eviction():
 def test_extra_evict_hook_invoked():
     h, _, _ = make_hier()
     dropped = []
-    h.add_l1_evict_hook(0, dropped.append)
+    h.on_l1_evict = lambda core_id, block: dropped.append((core_id, block))
     h.access(0, 0x1000)
     h.l1s[0].invalidate(0x1000 >> 6)
-    assert dropped == [0x1000 >> 6]
+    assert dropped == [(0, 0x1000 >> 6)]
 
 
 def test_invalidate_everywhere():

@@ -13,6 +13,7 @@ from repro.ostruct.page_table import PageTable
 from repro.runtime.allocator import VERSION_BLOCK_BASE, SimHeap
 from repro.runtime.task import TaskTracker
 from repro.sim.engine import Simulator
+from repro.sim.events import EventBus
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.stats import SimStats
 
@@ -28,6 +29,7 @@ class Rig:
         self.page_table = PageTable()
         self.heap = SimHeap(self.page_table)
         self.tracker = TaskTracker()
+        self.events = EventBus()
         self.free_list = FreeList(
             base_paddr=VERSION_BLOCK_BASE,
             initial_blocks=self.config.free_list_blocks,
@@ -41,6 +43,7 @@ class Rig:
             tracker=self.tracker,
             hierarchy=self.hierarchy,
             stats=self.stats,
+            events=self.events,
             watermark=self.config.gc_watermark,
         )
         self.manager = OStructureManager(
@@ -51,6 +54,7 @@ class Rig:
             free_list=self.free_list,
             gc=self.gc,
             stats=self.stats,
+            events=self.events,
         )
         self.addr = self.heap.alloc_versioned(16)
 

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro import Machine, MachineConfig, Task, Versioned
 from repro.faults import FaultSpec
 from repro.obs import SpanRecorder, chrome_trace, critical_path, dependency_edges
 from repro.obs.critpath import format_critical_path
 from repro.obs.perfetto import write_chrome_trace
 from repro.ostruct import isa
+from repro.sim.events import EVENTS
 from repro.sim.trace import Tracer
 
 
@@ -164,29 +163,33 @@ class TestSpanRecorder:
         )
         assert any(e.event == "abort" for e in rec.recovery_events)
 
-    def test_second_recorder_rejected(self):
-        m, _ = simple_machine()
-        SpanRecorder(m)
-        with pytest.raises(RuntimeError):
-            SpanRecorder(m)
+    def test_two_recorders_both_record(self):
+        m, cell = simple_machine()
+        first = SpanRecorder(m)
+        second = SpanRecorder(m)
+
+        def prog(tid):
+            yield cell.store_ver(1, 1)
+            return (yield cell.load_last(1))
+
+        m.submit([Task(1, prog)])
+        m.run()
+        for rec in (first, second):
+            rec.finish()
+            assert [s.task for s in rec.task_spans] == [1]
+            assert (cell.addr, 1) in rec.produces
+            assert [c[:3] for c in rec.consumes] == [(1, cell.addr, 1)]
+        assert first.summary() == second.summary()
 
     def test_detach_restores_all_hooks(self):
         m, cell = simple_machine()
-        orig_load_latest = m.manager.load_latest
-        orig_lock_load_latest = m.manager.lock_load_latest
         rec = SpanRecorder(m)
         rec.detach()
         rec.detach()  # idempotent
-        assert m.trace_hook is None
-        assert m.task_hook is None
-        assert m.recovery_hook is None
-        assert m.gc.phase_hooks == []
-        # Bound methods compare equal when they rebind the same function;
-        # detach removed our instance-attribute wrappers entirely.
-        assert "load_latest" not in vars(m.manager)
-        assert m.manager.load_latest == orig_load_latest
-        assert m.manager.lock_load_latest == orig_lock_load_latest
-        SpanRecorder(m)  # slot is free again
+        # Every bus tuple is empty again: nothing was patched, so
+        # unsubscribing is all there is to undo.
+        assert all(getattr(m.events, event) == () for event in EVENTS)
+        SpanRecorder(m)  # attaching again is fine
 
     def test_coexists_with_user_tracer(self):
         m, cell = simple_machine()

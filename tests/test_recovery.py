@@ -281,9 +281,9 @@ class TestCheckpointer:
         images, corrupt = load_images(tmp_path, every=4)
         assert corrupt == 0
         assert sorted(images) == ck.captured
-        # detach() restored the wrapped chokepoint and the back-pointer.
+        # detach() unsubscribed from ``tick`` and cleared the back-pointer.
         assert m.checkpointer is None
-        assert "_extra" not in vars(m.manager)
+        assert m.events.tick == ()
 
     def test_verify_mode_replays_byte_identical(self, tmp_path):
         _, first, _ = self._run_with_checkpointer(tmp_path)
@@ -311,11 +311,11 @@ class TestCheckpointer:
             Checkpointer(m, tmp_path, 0)
 
     def test_zero_cost_when_disabled(self):
-        # No checkpointer attached: no wrapper on the versioned-op
-        # chokepoint, no back-pointer, nothing on the hot path.
+        # No checkpointer attached: no ``tick`` subscriber, no
+        # back-pointer, nothing on the hot path.
         m = Machine(MachineConfig(num_cores=1))
         assert m.checkpointer is None
-        assert "_extra" not in vars(m.manager)
+        assert m.events.tick == ()
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,9 @@ class TestCrashRecovery:
         events: list[tuple[str, dict]] = []
 
         def observe(machine) -> None:
-            machine.recovery_hook = lambda ev, info: events.append((ev, dict(info)))
+            machine.events.subscribe(
+                "recovery", lambda ev, info: events.append((ev, dict(info)))
+            )
 
         crashed = dataclasses.replace(
             TABLE2, faults=(FaultSpec(kind="crash-machine", at=150),)

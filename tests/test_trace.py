@@ -180,7 +180,7 @@ def test_accounting_invariant_holds_under_eviction_and_filters():
 
 
 # ---------------------------------------------------------------------------
-# Trace-hook chaining (multiple consumers on one machine).
+# Several ``retire`` subscribers on one machine.
 # ---------------------------------------------------------------------------
 
 
@@ -204,11 +204,10 @@ class TestHookChaining:
             m, cell, conv = simple_machine()
             tracers = [Tracer(m), Tracer(m)]
             tracers[order[0]].detach()
-            # The survivor is the sole hook again (no dispatcher shell).
             survivor = tracers[order[1]]
-            assert m.trace_hook is survivor._hook
+            assert m.events.retire == (survivor._record,)
             survivor.detach()
-            assert m.trace_hook is None
+            assert m.events.retire == ()
 
     def test_survivor_still_records_after_peer_detach(self):
         m, cell, conv = simple_machine()
@@ -232,41 +231,9 @@ class TestHookChaining:
         m, cell, conv = simple_machine()
         tracer = Tracer(m)
         with pytest.raises(SimulationError):
-            m.add_trace_hook(tracer._hook)
-        # The failed attach did not corrupt the chain.
-        assert m.trace_hook is tracer._hook
-
-    def test_legacy_direct_assignment_is_absorbed(self):
-        m, cell, conv = simple_machine()
-        seen = []
-
-        def legacy(core, task, op_tuple, latency, stalled):
-            seen.append(op_tuple[0])
-
-        m.trace_hook = legacy  # old API: direct assignment
-        tracer = Tracer(m)  # must chain, not displace
-
-        def prog(tid):
-            yield isa.compute(2)
-
-        m.submit([Task(0, prog)])
-        m.run()
-        assert seen == ["compute"]
-        assert len(tracer) == 1
-        assert m.remove_trace_hook(legacy)
-        tracer.detach()
-        assert m.trace_hook is None
-
-    def test_remove_directly_assigned_hook_without_chain(self):
-        m, cell, conv = simple_machine()
-
-        def legacy(core, task, op_tuple, latency, stalled):
-            pass
-
-        m.trace_hook = legacy
-        assert m.remove_trace_hook(legacy)
-        assert m.trace_hook is None
-        assert not m.remove_trace_hook(legacy)  # already gone
+            m.events.subscribe("retire", tracer._record)
+        # The failed attach left the subscriber tuple as it was.
+        assert m.events.retire == (tracer._record,)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +274,7 @@ def test_accounting_invariant_property(
         if fired == detach_after:
             tracer.detach()
 
-    m.add_trace_hook(checking_hook)
+    m.events.subscribe("retire", checking_hook)
 
     def prog(tid):
         for i in range(n_ops):

@@ -1,29 +1,33 @@
-"""Differential oracle: the hardware model vs the software reference.
+"""Differential oracle: the hardware model vs the version-table rules.
 
-The oracle maintains one :class:`~repro.sw.ostructure.SWOStructure` per
-versioned address and mirrors every operation the hardware-model manager
-completes.  Because the manager runs single-threaded inside the event
-simulator, the mirror uses the non-blocking ``try_*`` probes — "would
-this op complete right now, and with what result?" — so the two models
-are compared at identical points in the simulated interleaving.
+The oracle keeps one :class:`~repro.sw.table.VersionTable` per versioned
+address — the executable statement of the Section II-A rules — and
+checks every operation the hardware-model manager reports against it.
+The manager runs single-threaded inside the event simulator, so the
+tables need no locks: :meth:`DifferentialOracle.check_op` asks "what
+would the rules do with this op right now?" at exactly the point of the
+simulated interleaving where the hardware ran it.
 
 Every method returns a list of problem strings (empty on agreement); the
 :class:`~repro.check.sanitizer.Sanitizer` turns non-empty results into a
 :class:`~repro.check.sanitizer.CheckViolation`.
 
-Mirroring rules worth spelling out:
+Rules worth spelling out:
 
-- **Stalls must agree.**  When the hardware raises ``StallSignal``, the
-  software probe must also report not-ready; a hardware stall the
-  reference would have satisfied is a lost wake-up / stale-cache bug,
-  and a hardware completion the reference would have blocked is a
-  premature read (e.g. of a locked or reclaimed version).
-- **Renaming unlocks mirror in two steps.**  The manager's
-  ``unlock_version(new_version=...)`` internally calls its own
-  ``store_version``, which the sanitizer has already wrapped — so the
-  nested store mirrors the rename and ``mirror_unlock`` only releases
-  the lock.
-- **GC reclaims are checked before they are mirrored**: at reclaim time
+- **Outcomes must agree.**  Each op ends in a value or in a refusal — a
+  stall, a duplicate version, or an unlock by a task that is not the
+  holder — and the hardware and the table must end the same way.  A
+  hardware stall the table would have served is a lost wake-up or
+  stale-cache bug; a hardware completion the table would have blocked
+  is a premature read (e.g. of a locked or reclaimed version).
+- **Compare, then apply.**  A lock is taken in the table only when the
+  hardware granted the same version, so a divergence never leaves the
+  table holding a lock the hardware does not.
+- **Renaming unlocks apply in two steps.**  The manager's
+  ``unlock_version(new_version=...)`` reports its internal
+  ``store_version`` first, so the store applies the rename and the
+  unlock only releases the lock.
+- **GC reclaims are checked before they are applied**: at reclaim time
   the version must be shadowed, unlocked, and invisible to every live
   task's LOAD-LATEST — the paper's Section III-B safety argument,
   enforced mechanically.
@@ -33,166 +37,131 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..sw.ostructure import SWOStructure
+from ..errors import NotLockedError, SimulationError, VersionExistsError
+from ..ostruct import isa
+from ..ostruct.manager import StallSignal
+from ..sw.table import VersionTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ostruct.manager import OStructureManager
 
 
+#: The error each op may be refused with; the table must refuse alike,
+#: and the error class stands for the refusal in the comparison.  Other
+#: errors (a protection fault, or a renaming unlock's duplicate target,
+#: which its internal store already reported) leave nothing to compare.
+#: A refused free changes nothing.
+_REFUSALS: dict[str, Any] = {
+    isa.LOAD_VERSION: StallSignal,
+    isa.LOAD_LATEST: StallSignal,
+    isa.STORE_VERSION: VersionExistsError,
+    isa.LOCK_LOAD_VERSION: StallSignal,
+    isa.LOCK_LOAD_LATEST: StallSignal,
+    isa.UNLOCK_VERSION: NotLockedError,
+    "free_ostructure": (),
+}
+
+_EXACT = (isa.LOAD_VERSION, isa.LOCK_LOAD_VERSION)
+_LOCKING = (isa.LOCK_LOAD_VERSION, isa.LOCK_LOAD_LATEST)
+
+
+def _show(outcome: Any) -> str:
+    """An outcome for a problem report: a value's repr or a refusal's name."""
+    return outcome.__name__ if isinstance(outcome, type) else repr(outcome)
+
+
 class DifferentialOracle:
-    """Software shadow of every O-structure the manager serves."""
+    """Version-table shadow of every O-structure the manager serves."""
 
     def __init__(self) -> None:
-        #: vaddr -> software reference structure.
-        self.structs: dict[int, SWOStructure] = {}
+        #: vaddr -> reference table.
+        self.tables: dict[int, VersionTable] = {}
+        #: Completed hardware ops applied to the tables.
         self.ops_mirrored = 0
 
-    def _sw(self, vaddr: int) -> SWOStructure:
-        sw = self.structs.get(vaddr)
-        if sw is None:
-            sw = SWOStructure(f"sw@0x{vaddr:x}")
-            self.structs[vaddr] = sw
-        return sw
+    def _table(self, vaddr: int) -> VersionTable:
+        table = self.tables.get(vaddr)
+        if table is None:
+            table = self.tables[vaddr] = VersionTable(f"sw@0x{vaddr:x}")
+        return table
 
-    # -- completed-op mirrors ------------------------------------------------
+    # -- the ``op`` check ----------------------------------------------------
 
-    def mirror_store(self, vaddr: int, version: int, value: Any) -> list[str]:
-        self.ops_mirrored += 1
-        sw = self._sw(vaddr)
-        if version in sw._versions:
-            return [
-                f"hw created version {version} of 0x{vaddr:x} but the "
-                f"reference already holds it (duplicate creation)"
-            ]
-        sw.store_version(version, value)
-        return []
-
-    def expect_exact(self, vaddr: int, version: int, value: Any) -> list[str]:
-        """Hardware LOAD-VERSION completed with ``value``."""
-        self.ops_mirrored += 1
-        probe = self._sw(vaddr).try_load_version(version)
-        if probe is None:
-            return [
-                f"hw served LOAD-VERSION {version} of 0x{vaddr:x} -> "
-                f"{value!r} but the reference says the version "
-                f"{self._why_not_exact(vaddr, version)}"
-            ]
-        if probe[0] != value:
-            return [
-                f"LOAD-VERSION {version} of 0x{vaddr:x}: hw={value!r} "
-                f"reference={probe[0]!r}"
-            ]
-        return []
-
-    def expect_latest(
-        self, vaddr: int, cap: int, version: int, value: Any
+    def check_op(
+        self, name: str, args: tuple, result: Any, exc: Exception | None
     ) -> list[str]:
-        """Hardware LOAD-LATEST(cap) completed with ``(version, value)``."""
-        self.ops_mirrored += 1
-        probe = self._sw(vaddr).try_load_latest(cap)
-        if probe is None:
-            return [
-                f"hw served LOAD-LATEST <= {cap} of 0x{vaddr:x} -> "
-                f"v{version}={value!r} but the reference would block"
-            ]
-        if probe != (version, value):
-            return [
-                f"LOAD-LATEST <= {cap} of 0x{vaddr:x}: hw=v{version}="
-                f"{value!r} reference=v{probe[0]}={probe[1]!r}"
-            ]
-        return []
+        """Diff one hardware op against the table and apply it there.
 
-    def mirror_lock_exact(
-        self, vaddr: int, version: int, task_id: int, value: Any
-    ) -> list[str]:
-        self.ops_mirrored += 1
-        probe = self._sw(vaddr).try_lock_load_version(version, task_id)
-        if probe is None:
+        ``name``, ``args``, ``result`` and ``exc`` are the manager's
+        ``op`` event payload: ``args`` is the call's positional
+        arguments (``(core_id, vaddr, version-or-cap, ...)``, or
+        ``(vaddr,)`` for ``free_ostructure``) and ``result`` its return
+        value, or ``exc`` the error it raised.  A store or unlock the
+        table accepts is applied; a lock only when the hardware granted
+        the same version.
+        """
+        refusal = _REFUSALS[name]
+        if exc is not None and not isinstance(exc, refusal):
+            return []
+        if exc is None:
+            self.ops_mirrored += 1
+        if name == "free_ostructure":
+            vaddr = args[0]
+            table = self.tables.pop(vaddr, None)
+            tracked = len(table.values) if table is not None else 0
+            if tracked == result:
+                return []
             return [
-                f"hw granted LOCK-LOAD-VERSION {version} of 0x{vaddr:x} "
-                f"to task {task_id} but the reference says the version "
-                f"{self._why_not_exact(vaddr, version)}"
+                f"free_ostructure(0x{vaddr:x}) released {result} block(s) "
+                f"but the reference tracked {tracked} version(s)"
             ]
-        if probe[0] != value:
-            return [
-                f"LOCK-LOAD-VERSION {version} of 0x{vaddr:x}: "
-                f"hw={value!r} reference={probe[0]!r}"
-            ]
-        return []
+        vaddr, key = args[1], args[2]
+        table = self._table(vaddr)
+        hw = refusal if exc is not None else result[1]
+        if name == isa.STORE_VERSION:
+            ref = self._apply(table.store, refusal, key, args[3])
+        elif name == isa.UNLOCK_VERSION:
+            # A renaming unlock's store was reported, and applied, first.
+            ref = self._apply(table.unlock, refusal, key, args[3])
+        else:
+            exact = name in _EXACT
+            ready = table.ready_exact(key) if exact else table.ready_latest(key)
+            ref = StallSignal if ready is None else ready[0] if exact else ready
+            if name in _LOCKING and ready is not None and hw == ref:
+                table.lock(key if exact else ready[0], args[3])
+        if hw == ref:
+            return []
+        problem = (
+            f"{name} {key} of 0x{vaddr:x}: hw={_show(hw)} reference={_show(ref)}"
+        )
+        if ref is StallSignal:
+            problem += f" ({self._why_stalled(table, key, name in _EXACT)})"
+        elif hw is StallSignal:
+            problem += " (lost wake-up or stale lookup state)"
+        return [problem]
 
-    def mirror_lock_latest(
-        self, vaddr: int, cap: int, task_id: int, version: int, value: Any
-    ) -> list[str]:
-        self.ops_mirrored += 1
-        probe = self._sw(vaddr).try_lock_load_latest(cap, task_id)
-        if probe is None:
-            return [
-                f"hw granted LOCK-LOAD-LATEST <= {cap} of 0x{vaddr:x} to "
-                f"task {task_id} but the reference would block"
-            ]
-        if probe != (version, value):
-            # The reference locked the wrong version: undo so later
-            # comparisons diff against consistent state.
-            self._sw(vaddr)._locked.pop(probe[0], None)
-            return [
-                f"LOCK-LOAD-LATEST <= {cap} of 0x{vaddr:x}: hw=v{version}="
-                f"{value!r} reference=v{probe[0]}={probe[1]!r}"
-            ]
-        return []
+    @staticmethod
+    def _apply(mutator, refusal: Any, *args: Any) -> Any:
+        """Apply one table mutator: its result, or ``refusal`` if refused."""
+        try:
+            return mutator(*args)
+        except refusal:
+            return refusal
 
-    def mirror_unlock(self, vaddr: int, version: int, task_id: int) -> list[str]:
-        """Hardware UNLOCK-VERSION completed (rename already mirrored)."""
-        self.ops_mirrored += 1
-        sw = self._sw(vaddr)
-        holder = sw.locker_of(version)
-        if holder != task_id:
-            return [
-                f"hw unlocked version {version} of 0x{vaddr:x} for task "
-                f"{task_id} but the reference holder is {holder}"
-            ]
-        sw._locked.pop(version, None)
-        return []
-
-    # -- error-path agreement ------------------------------------------------
-
-    def expect_blocked_exact(self, vaddr: int, version: int) -> list[str]:
-        """Hardware stalled an exact-version access; reference must agree."""
-        probe = self._sw(vaddr).try_load_version(version)
-        if probe is not None:
-            return [
-                f"hw stalled on version {version} of 0x{vaddr:x} but the "
-                f"reference would serve {probe[0]!r} (lost wake-up or "
-                f"stale lookup state)"
-            ]
-        return []
-
-    def expect_blocked_latest(self, vaddr: int, cap: int) -> list[str]:
-        probe = self._sw(vaddr).try_load_latest(cap)
-        if probe is not None:
-            return [
-                f"hw stalled on LOAD-LATEST <= {cap} of 0x{vaddr:x} but "
-                f"the reference would serve v{probe[0]}={probe[1]!r}"
-            ]
-        return []
-
-    def expect_store_conflict(self, vaddr: int, version: int) -> list[str]:
-        """Hardware rejected a duplicate store; reference must agree."""
-        if version not in self._sw(vaddr)._versions:
-            return [
-                f"hw rejected STORE-VERSION {version} of 0x{vaddr:x} as a "
-                f"duplicate but the reference has no such version"
-            ]
-        return []
-
-    def expect_not_locked(self, vaddr: int, version: int, task_id: int) -> list[str]:
-        """Hardware rejected an unlock; reference holder must differ too."""
-        holder = self._sw(vaddr).locker_of(version)
-        if holder == task_id:
-            return [
-                f"hw rejected task {task_id}'s unlock of version {version} "
-                f"of 0x{vaddr:x} but the reference shows it as the holder"
-            ]
-        return []
+    @staticmethod
+    def _why_stalled(table: VersionTable, key: int, exact: bool) -> str:
+        version = key if exact else table.latest(key)
+        if version is None:
+            return f"the reference has no version <= {key}"
+        if version not in table.values:
+            return (
+                f"the reference says version {version} does not exist "
+                f"(reclaimed or never created)"
+            )
+        return (
+            f"the reference says version {version} is locked by task "
+            f"{table.lockers[version]}"
+        )
 
     # -- GC / lifecycle mirrors ----------------------------------------------
 
@@ -215,38 +184,40 @@ class DifferentialOracle:
         addresses by exact version, not latest.  ``None`` protects every
         live task (the conservative default for direct use).
         """
-        sw = self.structs.get(vaddr)
-        if sw is None or version not in sw._versions:
+        table = self.tables.get(vaddr)
+        if table is None or version not in table.values:
             return [
                 f"gc reclaimed version {version} of 0x{vaddr:x} unknown "
                 f"to the reference model"
             ]
         problems = []
-        if sw.is_locked(version):
+        holder = table.lockers.get(version)
+        if holder is not None:
             problems.append(
                 f"gc reclaimed locked version {version} of 0x{vaddr:x} "
-                f"(held by task {sw.locker_of(version)})"
+                f"(held by task {holder})"
             )
-        if version == max(sw._versions):
+        if version == max(table.values):
             problems.append(
                 f"gc reclaimed the latest version {version} of 0x{vaddr:x} "
                 f"(nothing shadows it)"
             )
-        for task in live_tasks:
-            if max_protected is not None and task > max_protected:
-                continue
-            if sw._latest_at_or_below(task) == version:
-                problems.append(
-                    f"gc reclaimed version {version} of 0x{vaddr:x} while "
-                    f"live task {task} can still read it via LOAD-LATEST "
-                    f"(Section III-B safety violation)"
-                )
+        readers = [
+            t for t in live_tasks if max_protected is None or t <= max_protected
+        ]
+        for task in table.visible(version, readers):
+            problems.append(
+                f"gc reclaimed version {version} of 0x{vaddr:x} while "
+                f"live task {task} can still read it via LOAD-LATEST "
+                f"(Section III-B safety violation)"
+            )
         return problems
 
     def mirror_reclaim(self, vaddr: int, version: int) -> None:
-        sw = self.structs.get(vaddr)
-        if sw is not None and not sw.is_locked(version):
-            sw.drop_version(version)
+        """Apply a GC reclaim that :meth:`check_reclaim` passed."""
+        table = self.tables.get(vaddr)
+        if table is not None:
+            table.drop(version)
 
     def mirror_drop(self, vaddr: int, version: int) -> list[str]:
         """Hardware rolled back an aborted task's uncommitted version.
@@ -258,45 +229,34 @@ class DifferentialOracle:
         version the reference knows and that is unlocked (the abort
         releases the victim's locks first).
         """
-        sw = self.structs.get(vaddr)
-        if sw is None or version not in sw._versions:
-            return [
-                f"abort dropped version {version} of 0x{vaddr:x} unknown "
-                f"to the reference model"
-            ]
-        if sw.is_locked(version):
+        table = self.tables.get(vaddr)
+        try:
+            if table is not None and table.drop(version):
+                return []
+        except SimulationError:
             return [
                 f"abort dropped version {version} of 0x{vaddr:x} while "
-                f"still locked by task {sw.locker_of(version)}"
+                f"still locked by task {table.lockers[version]}"
             ]
-        sw.drop_version(version)
-        return []
-
-    def mirror_free(self, vaddr: int, count: int) -> list[str]:
-        """Hardware freed a whole O-structure of ``count`` blocks."""
-        sw = self.structs.pop(vaddr, None)
-        sw_count = len(sw._versions) if sw is not None else 0
-        if sw_count != count:
-            return [
-                f"free_ostructure(0x{vaddr:x}) released {count} block(s) "
-                f"but the reference tracked {sw_count} version(s)"
-            ]
-        return []
+        return [
+            f"abort dropped version {version} of 0x{vaddr:x} unknown "
+            f"to the reference model"
+        ]
 
     # -- full-state sweep ----------------------------------------------------
 
     def compare_all(self, manager: "OStructureManager") -> list[str]:
         """Diff the complete version state of both models."""
         problems = []
-        for vaddr in sorted(set(manager.lists) | set(self.structs)):
+        for vaddr in sorted(set(manager.lists) | set(self.tables)):
             lst = manager.lists.get(vaddr)
             hw = (
                 {b.version: (b.value, b.locked_by) for b in lst}
                 if lst is not None
                 else {}
             )
-            sw_struct = self.structs.get(vaddr)
-            sw = sw_struct.dump() if sw_struct is not None else {}
+            table = self.tables.get(vaddr)
+            sw = table.dump() if table is not None else {}
             if hw == sw:
                 continue
             only_hw = sorted(set(hw) - set(sw))
@@ -316,11 +276,3 @@ class DifferentialOracle:
                         f"reference={sw[v]!r}"
                     )
         return problems
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def _why_not_exact(self, vaddr: int, version: int) -> str:
-        sw = self._sw(vaddr)
-        if version not in sw._versions:
-            return "does not exist (reclaimed or never created)"
-        return f"is locked by task {sw.locker_of(version)}"

@@ -5,8 +5,8 @@ machine's ``op``, ``reclaim`` and ``drop`` events (see
 :mod:`repro.sim.events`).  The manager emits ``op`` after the hardware
 model has run one of the seven versioned operations (or
 ``free_ostructure``), with its arguments and its result or raised
-error; the sanitizer replays it against the software reference via the
-:class:`~repro.check.oracle.DifferentialOracle`, and every ``interval``
+error; the sanitizer diffs it against the version-table reference of
+the :class:`~repro.check.oracle.DifferentialOracle`, and every ``interval``
 checked ops it validates the structural invariants of
 :mod:`repro.check.invariants` as well.  The ``reclaim`` subscriber
 audits Section III-B safety for every reclaimed block before mirroring
@@ -14,7 +14,7 @@ the reclaim into the reference.
 
 The manager's *internal* calls are reported too — a renaming
 ``unlock_version`` emits the rename's store before the unlock itself,
-so the rename is mirrored exactly once, in order.
+so the rename is applied to the reference exactly once, in order.
 
 On any disagreement a :class:`CheckViolation` is raised carrying a
 structured report: the violated facts, the offending op, the simulated
@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..errors import NotLockedError, SimulationError, VersionExistsError
-from ..ostruct import isa
-from ..ostruct.manager import StallSignal
+from ..errors import SimulationError
 from .invariants import check_invariants
 from .oracle import DifferentialOracle
 
@@ -105,20 +103,6 @@ def _rebuild_violation(kind, problems, op, cycle, ops_checked, trace_tail, post_
     )
 
 
-#: The error each op reports when the reference must agree it failed.
-_EXPECTED_ERRORS: dict[str, type[Exception] | tuple] = {
-    isa.LOAD_VERSION: StallSignal,
-    isa.LOAD_LATEST: StallSignal,
-    isa.STORE_VERSION: VersionExistsError,
-    isa.LOCK_LOAD_VERSION: StallSignal,
-    isa.LOCK_LOAD_LATEST: StallSignal,
-    isa.UNLOCK_VERSION: NotLockedError,
-    # A refused free (waiters or locked versions) leaves the reference
-    # untouched: nothing to check or mirror.
-    "free_ostructure": (),
-}
-
-
 class Sanitizer:
     """Differential + invariant checker wired into one machine."""
 
@@ -151,7 +135,7 @@ class Sanitizer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def uninstall(self) -> None:
+    def detach(self) -> None:
         """Stop checking: unsubscribe everything (fault-injection tests)."""
         for event, fn in self._subscriptions:
             self.machine.events.unsubscribe(event, fn)
@@ -207,59 +191,9 @@ class Sanitizer:
     def _on_op(
         self, name: str, args: tuple, result: Any, exc: Exception | None
     ) -> None:
-        failed = exc is not None
-        if failed and not isinstance(exc, _EXPECTED_ERRORS[name]):
-            return  # e.g. a protection fault: nothing to compare
-        o = self.oracle
-        if name == "free_ostructure":
-            vaddr = args[0]
-            op: tuple = (name, vaddr)
-            problems = o.mirror_free(vaddr, result)
-        else:
-            # args = (core_id, vaddr, version-or-cap, ...) per signature.
-            vaddr, key = args[1], args[2]
-            op = (name, vaddr, key)
-            if name == isa.LOAD_VERSION:
-                problems = (
-                    o.expect_blocked_exact(vaddr, key)
-                    if failed
-                    else o.expect_exact(vaddr, key, result[1])
-                )
-            elif name == isa.LOAD_LATEST:
-                problems = (
-                    o.expect_blocked_latest(vaddr, key)
-                    if failed
-                    else o.expect_latest(vaddr, key, *result[1])
-                )
-            elif name == isa.STORE_VERSION:
-                value = args[3]
-                op = (name, vaddr, key, value)
-                problems = (
-                    o.expect_store_conflict(vaddr, key)
-                    if failed
-                    else o.mirror_store(vaddr, key, value)
-                )
-            elif name == isa.LOCK_LOAD_VERSION:
-                problems = (
-                    o.expect_blocked_exact(vaddr, key)
-                    if failed
-                    else o.mirror_lock_exact(vaddr, key, args[3], result[1])
-                )
-            elif name == isa.LOCK_LOAD_LATEST:
-                problems = (
-                    o.expect_blocked_latest(vaddr, key)
-                    if failed
-                    else o.mirror_lock_latest(vaddr, key, args[3], *result[1])
-                )
-            else:  # UNLOCK_VERSION; a renaming unlock's store came first.
-                op = (name, vaddr, key, args[4])
-                problems = (
-                    o.expect_not_locked(vaddr, key, args[3])
-                    if failed
-                    else o.mirror_unlock(vaddr, key, args[3])
-                )
-        self._require(not problems, "divergence", problems, op)
-        if not failed:
+        problems = self.oracle.check_op(name, args, result, exc)
+        self._require(not problems, "divergence", problems, (name, *args))
+        if exc is None:
             self._checkpoint()
 
     # -- GC auditing ---------------------------------------------------------

@@ -11,12 +11,11 @@ Reclamation follows the version-based-reclamation (VBR) shape the
 related MVCC work uses: task sessions (TASK-BEGIN / TASK-END frames)
 advance a global *floor* — the lowest task id still live — and each
 shard independently reclaims shadowed versions below that floor once
-its stores-since-last-reclaim counter crosses a watermark.  Reclaiming
-is done version-by-version through ``SWOStructure.drop_version`` (the
-same entry point the simulator's GC mirror uses), keeping per key the
-boundary version a ``LOAD-LATEST(floor)`` would return and skipping
-anything locked; a drop that races with a fresh lock is skipped, never
-forced.
+its stores-since-last-reclaim counter crosses a watermark.  A pass calls
+each key's ``SWOStructure.reclaim_below(floor)``, which applies the
+version table's reclaim rule under that structure's lock: per key it
+keeps the version a ``LOAD-LATEST(floor)`` would return, everything at
+or above the floor and every locked version.
 """
 
 from __future__ import annotations
@@ -83,17 +82,7 @@ class Shard:
         """
         with self._lock:
             structs = list(self._ostructs.values())
-        removed = 0
-        for o in structs:
-            versions = o.versions()
-            boundary = max((v for v in versions if v <= floor), default=None)
-            for v in versions:
-                if v >= floor or v == boundary:
-                    continue
-                try:
-                    removed += bool(o.drop_version(v))
-                except SimulationError:
-                    pass  # locked since we listed it; the lock holder wins
+        removed = sum(o.reclaim_below(floor) for o in structs)
         with self._lock:
             self.reclaim_passes += 1
             self.reclaimed_versions += removed

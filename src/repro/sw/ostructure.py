@@ -4,14 +4,19 @@ One :class:`SWOStructure` is one versioned memory location.  All seven
 operations of Section II-A are provided with blocking semantics delivered
 through a condition variable: loads of uncreated versions wait, loads of
 locked versions wait, lock attempts on locked versions wait.  Timeouts
-turn latent deadlocks into diagnosable errors instead of hangs.
+turn latent deadlocks into diagnosable errors instead of hangs; a
+timeout bounds the whole wait, however often other changes wake it.
+
+The rules themselves — which version a load selects, when a store or a
+renaming unlock conflicts, what reclamation keeps — live in the
+structure's :class:`~repro.sw.table.VersionTable`; this class adds only
+the lock, the waiting and the :class:`SWTimeout` context.
 
 Besides the blocking API, each read/lock operation has a non-blocking
-``try_*`` twin that returns ``None`` where the blocking form would wait.
-Those probes exist for :mod:`repro.check`: the differential oracle runs
-single-threaded inside the simulator and asks "would this op complete
-right now?" instead of parking a thread.  Both forms share the same
-readiness predicates, so blocking and probing can never disagree.
+``try_*`` twin that returns ``None`` where the blocking form would wait
+(the serving layer answers zero-deadline requests with them).  Both
+forms run the same readiness-plus-lock step, so blocking and probing can
+never disagree.
 """
 
 from __future__ import annotations
@@ -19,11 +24,8 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from ..errors import (
-    NotLockedError,
-    SimulationError,
-    VersionExistsError,
-)
+from ..errors import SimulationError
+from .table import VersionTable
 
 
 class SWTimeout(SimulationError):
@@ -83,101 +85,75 @@ class SWTimeout(SimulationError):
         return f"{self} [{detail}]"
 
 
-#: Sentinel distinguishing "absent" from a stored ``None`` value.
-_MISSING = object()
-
-
 class SWOStructure:
     """One software-versioned memory location."""
 
     def __init__(self, name: str = "ostruct"):
         self.name = name
-        self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
-        #: version -> value (versions are immutable once created).
-        self._versions: dict[int, Any] = {}
-        #: version -> locking task id.
-        self._locked: dict[int, int] = {}
+        self._changed = threading.Condition(threading.Lock())
+        #: The version list and its rules; guarded by ``_changed``.
+        self._table = VersionTable(name)
 
-    # -- helpers -------------------------------------------------------------
-
-    def _latest_at_or_below(self, cap: int) -> int | None:
-        best = None
-        for v in self._versions:
-            if v <= cap and (best is None or v > best):
-                best = v
-        return best
-
-    def _ready_exact(self, version: int) -> tuple[Any] | None:
-        """``(value,)`` if ``version`` exists and is unlocked, else None."""
-        if version in self._versions and version not in self._locked:
-            return (self._versions[version],)
-        return None
-
-    def _ready_latest(self, cap: int) -> tuple[int, Any] | None:
-        """``(version, value)`` of the loadable latest <= cap, else None."""
-        v = self._latest_at_or_below(cap)
-        if v is None or v in self._locked:
-            return None
-        return (v, self._versions[v])
-
-    def _wait(
+    def _acquire(
         self,
-        predicate,
-        timeout: float,
         op: str,
-        wanted: int | None = None,
+        timeout: float | None,
+        version: int | None = None,
         cap: int | None = None,
-    ) -> Any:
-        """Wait until ``predicate()`` returns non-None; condvar is held.
+        task_id: int | None = None,
+    ) -> tuple | None:
+        """The readiness-plus-lock step behind all eight read/lock ops.
 
-        On expiry, raises :class:`SWTimeout` with structured context
-        gathered under the lock: the latest version present and — for
-        the version the caller was after (exact ``wanted``, or the best
-        candidate <= ``cap``) — the task currently holding its lock.
+        Selects ``version`` exactly, or the latest <= ``cap``; when ready
+        returns ``(value,)`` or ``(version, value)`` and, given a
+        ``task_id``, locks that version in the same critical section.
+        ``timeout=None`` probes: a version that is not ready yields None.
+        Otherwise waits up to ``timeout`` seconds in total (one deadline,
+        however many changes wake the wait), then raises
+        :class:`SWTimeout` with context gathered under the lock: the
+        latest version present and the task holding the candidate the
+        caller was after (exact ``version``, or the latest <= ``cap``).
         """
-        result = predicate()
-        while result is None:
-            if not self._changed.wait(timeout=timeout):
-                candidate = wanted
-                if candidate is None and cap is not None:
-                    candidate = self._latest_at_or_below(cap)
-                raise SWTimeout(
-                    f"{self.name}: blocked operation timed out after {timeout}s",
-                    address=self.name,
-                    op=op,
-                    wanted=wanted,
-                    cap=cap,
-                    latest=max(self._versions, default=None),
-                    holder=(
-                        self._locked.get(candidate)
-                        if candidate is not None
-                        else None
-                    ),
-                    timeout=timeout,
-                )
-            result = predicate()
-        return result
+        table = self._table
+
+        def take() -> tuple | None:
+            got = (
+                table.ready_exact(version) if cap is None
+                else table.ready_latest(cap)
+            )
+            if got is not None and task_id is not None:
+                table.lock(version if cap is None else got[0], task_id)
+            return got
+
+        with self._changed:
+            if timeout is None:
+                return take()
+            got = self._changed.wait_for(take, timeout)
+            if got is not None:
+                return got
+            candidate = version if cap is None else table.latest(cap)
+            raise SWTimeout(
+                f"{self.name}: blocked operation timed out after {timeout}s",
+                address=self.name,
+                op=op,
+                wanted=version,
+                cap=cap,
+                latest=max(table.values, default=None),
+                holder=table.lockers.get(candidate),
+                timeout=timeout,
+            )
 
     # -- the seven operations -----------------------------------------------------
 
     def store_version(self, version: int, value: Any) -> None:
         """STORE-VERSION: create an immutable version."""
         with self._changed:
-            if version in self._versions:
-                raise VersionExistsError(
-                    f"{self.name}: version {version} already exists"
-                )
-            self._versions[version] = value
+            self._table.store(version, value)
             self._changed.notify_all()
 
     def load_version(self, version: int, timeout: float = 10.0) -> Any:
         """LOAD-VERSION: blocks until ``version`` exists and is unlocked."""
-        with self._changed:
-            return self._wait(
-                lambda: self._ready_exact(version), timeout,
-                "load-version", wanted=version,
-            )[0]
+        return self._acquire("load-version", timeout, version=version)[0]
 
     def load_latest(self, cap: int, timeout: float = 10.0) -> tuple[int, Any]:
         """LOAD-LATEST: highest version <= cap, blocking while locked.
@@ -185,91 +161,62 @@ class SWOStructure:
         Re-evaluates after every change, so a version created while
         waiting is picked up (the renaming-unlock handoff).
         """
-        with self._changed:
-            return self._wait(
-                lambda: self._ready_latest(cap), timeout, "load-latest", cap=cap
-            )
+        return self._acquire("load-latest", timeout, cap=cap)
 
     def lock_load_version(self, version: int, task_id: int, timeout: float = 10.0) -> Any:
         """LOCK-LOAD-VERSION: exact load plus lock (atomic at grant time)."""
-        with self._changed:
-            value = self._wait(
-                lambda: self._ready_exact(version), timeout,
-                "lock-load-version", wanted=version,
-            )[0]
-            self._locked[version] = task_id
-            return value
+        return self._acquire(
+            "lock-load-version", timeout, version=version, task_id=task_id
+        )[0]
 
     def lock_load_latest(
         self, cap: int, task_id: int, timeout: float = 10.0
     ) -> tuple[int, Any]:
         """LOCK-LOAD-LATEST: capped load plus lock."""
-        with self._changed:
-            version, value = self._wait(
-                lambda: self._ready_latest(cap), timeout,
-                "lock-load-latest", cap=cap,
-            )
-            self._locked[version] = task_id
-            return version, value
+        return self._acquire("lock-load-latest", timeout, cap=cap, task_id=task_id)
 
     def unlock_version(
         self, version: int, task_id: int, new_version: int | None = None
     ) -> None:
-        """UNLOCK-VERSION: release; optionally rename to ``new_version``."""
+        """UNLOCK-VERSION: release; optionally rename to ``new_version``.
+
+        A refused unlock (wrong holder, or an existing rename target)
+        leaves the lock held.
+        """
         with self._changed:
-            if self._locked.get(version) != task_id:
-                raise NotLockedError(
-                    f"{self.name}: task {task_id} does not hold version {version}"
-                )
-            del self._locked[version]
-            if new_version is not None:
-                if new_version in self._versions:
-                    raise VersionExistsError(
-                        f"{self.name}: rename target {new_version} already exists"
-                    )
-                self._versions[new_version] = self._versions[version]
+            self._table.unlock(version, task_id, new_version)
             self._changed.notify_all()
 
     # -- non-blocking probes (differential-oracle support) --------------------
 
     def try_load_version(self, version: int) -> tuple[Any] | None:
         """``(value,)`` if LOAD-VERSION would complete now, else None."""
-        with self._lock:
-            return self._ready_exact(version)
+        return self._acquire("load-version", None, version=version)
 
     def try_load_latest(self, cap: int) -> tuple[int, Any] | None:
         """``(version, value)`` if LOAD-LATEST would complete now, else None."""
-        with self._lock:
-            return self._ready_latest(cap)
+        return self._acquire("load-latest", None, cap=cap)
 
     def try_lock_load_version(self, version: int, task_id: int) -> tuple[Any] | None:
         """Atomically lock-and-load ``version`` iff it is ready now."""
-        with self._lock:
-            result = self._ready_exact(version)
-            if result is not None:
-                self._locked[version] = task_id
-            return result
+        return self._acquire(
+            "lock-load-version", None, version=version, task_id=task_id
+        )
 
     def try_lock_load_latest(self, cap: int, task_id: int) -> tuple[int, Any] | None:
         """Atomically lock-and-load the latest <= ``cap`` iff ready now."""
-        with self._lock:
-            result = self._ready_latest(cap)
-            if result is not None:
-                self._locked[result[0]] = task_id
-            return result
+        return self._acquire("lock-load-latest", None, cap=cap, task_id=task_id)
 
     # -- introspection / GC support --------------------------------------------------
 
     def versions(self) -> list[int]:
-        with self._lock:
-            return sorted(self._versions)
+        with self._changed:
+            return sorted(self._table.values)
 
     def dump(self) -> dict[int, tuple[Any, int | None]]:
         """``version -> (value, locked_by)`` snapshot (oracle comparisons)."""
-        with self._lock:
-            return {
-                v: (val, self._locked.get(v)) for v, val in self._versions.items()
-            }
+        with self._changed:
+            return self._table.dump()
 
     def drop_version(self, version: int) -> bool:
         """Remove one version (mirrors a hardware GC reclaim).
@@ -279,32 +226,22 @@ class SWOStructure:
         protocol violation on the hardware side too.
         """
         with self._changed:
-            if version in self._locked:
-                raise SimulationError(
-                    f"{self.name}: cannot drop locked version {version}"
-                )
-            return self._versions.pop(version, _MISSING) is not _MISSING
+            return self._table.drop(version)
 
     def is_locked(self, version: int) -> bool:
-        with self._lock:
-            return version in self._locked
+        with self._changed:
+            return version in self._table.lockers
 
     def locker_of(self, version: int) -> int | None:
-        with self._lock:
-            return self._locked.get(version)
+        with self._changed:
+            return self._table.lockers.get(version)
 
     def reclaim_below(self, floor: int) -> int:
         """Drop shadowed versions no task at or above ``floor`` can read.
 
-        Keeps the highest version < floor (it is the LOAD-LATEST target
+        Keeps the highest version <= floor (it is the LOAD-LATEST target
         for cap == floor) and everything >= floor; returns count removed.
         Locked versions are never reclaimed.
         """
         with self._changed:
-            keep_boundary = self._latest_at_or_below(floor)
-            removed = 0
-            for v in list(self._versions):
-                if v < floor and v != keep_boundary and v not in self._locked:
-                    del self._versions[v]
-                    removed += 1
-            return removed
+            return self._table.reclaim_below(floor)

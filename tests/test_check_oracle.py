@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.check.oracle import DifferentialOracle
-from repro.errors import SimulationError
+from repro.errors import (
+    NotLockedError,
+    ProtectionFault,
+    SimulationError,
+    VersionExistsError,
+)
+from repro.ostruct import isa
+from repro.ostruct.manager import StallSignal
 from repro.sw.ostructure import SWOStructure
 
 ADDR = 0x1000
@@ -79,66 +86,85 @@ class TestTryProbes:
         assert sw.dump() == {1: ("a", None), 2: ("b", 9)}
 
 
+def done(o, name, *args, out=None, addr=ADDR):
+    """Report ``name`` as completed by the manager with payload ``out``."""
+    return o.check_op(name, (0, addr, *args), (1, out), None)
+
+
+def refused(o, name, *args, addr=ADDR):
+    """Report ``name`` as refused by the manager (stall, duplicate, not held)."""
+    exc = {
+        isa.STORE_VERSION: VersionExistsError("duplicate"),
+        isa.UNLOCK_VERSION: NotLockedError("not held"),
+    }.get(name, StallSignal(addr, "blocked"))
+    return o.check_op(name, (0, addr, *args), None, exc)
+
+
 class TestOracleMirrors:
     def test_mirror_store_then_loads_agree(self):
         o = DifferentialOracle()
-        assert o.mirror_store(ADDR, 1, "a") == []
-        assert o.expect_exact(ADDR, 1, "a") == []
-        assert o.expect_latest(ADDR, 5, 1, "a") == []
+        assert done(o, isa.STORE_VERSION, 1, "a", None) == []
+        assert done(o, isa.LOAD_VERSION, 1, out="a") == []
+        assert done(o, isa.LOAD_LATEST, 5, out=(1, "a")) == []
+        assert o.ops_mirrored == 3
 
     def test_duplicate_store_flagged(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        assert o.mirror_store(ADDR, 1, "b")  # hw created a duplicate
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        assert done(o, isa.STORE_VERSION, 1, "b", None)  # hw created a duplicate
+        assert refused(o, isa.STORE_VERSION, 1, "b", None) == []
 
     def test_wrong_value_flagged(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        assert o.expect_exact(ADDR, 1, "WRONG")
-        assert o.expect_latest(ADDR, 5, 1, "WRONG")
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        assert done(o, isa.LOAD_VERSION, 1, out="WRONG")
+        assert done(o, isa.LOAD_LATEST, 5, out=(1, "WRONG"))
 
     def test_serving_nonexistent_version_flagged(self):
         o = DifferentialOracle()
-        problems = o.expect_exact(ADDR, 3, "ghost")
+        problems = done(o, isa.LOAD_VERSION, 3, out="ghost")
         assert problems and "does not exist" in problems[0]
 
     def test_stall_agreement(self):
         o = DifferentialOracle()
-        assert o.expect_blocked_exact(ADDR, 1) == []
-        o.mirror_store(ADDR, 1, "a")
+        assert refused(o, isa.LOAD_VERSION, 1) == []
+        done(o, isa.STORE_VERSION, 1, "a", None)
         # Now a hw stall on version 1 would be a lost wake-up.
-        assert o.expect_blocked_exact(ADDR, 1)
-        assert o.expect_blocked_latest(ADDR, 5)
-        assert o.expect_blocked_latest(ADDR, 0) == []
+        assert refused(o, isa.LOAD_VERSION, 1)
+        assert refused(o, isa.LOAD_LATEST, 5)
+        assert refused(o, isa.LOAD_LATEST, 0) == []
 
     def test_lock_mirroring_and_unlock(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        assert o.mirror_lock_exact(ADDR, 1, 7, "a") == []
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        assert done(o, isa.LOCK_LOAD_VERSION, 1, 7, out="a") == []
         # While locked, plain loads must stall.
-        assert o.expect_blocked_exact(ADDR, 1) == []
-        assert o.mirror_unlock(ADDR, 1, 7) == []
-        assert o.expect_exact(ADDR, 1, "a") == []
+        assert refused(o, isa.LOAD_VERSION, 1) == []
+        assert done(o, isa.UNLOCK_VERSION, 1, 7, None) == []
+        assert done(o, isa.LOAD_VERSION, 1, out="a") == []
 
     def test_unlock_by_non_holder_flagged(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        o.mirror_lock_exact(ADDR, 1, 7, "a")
-        assert o.mirror_unlock(ADDR, 1, 8)  # hw let the wrong task unlock
-        assert o.expect_not_locked(ADDR, 1, 7)  # hw refused the holder
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        done(o, isa.LOCK_LOAD_VERSION, 1, 7, out="a")
+        # hw let the wrong task unlock.
+        assert done(o, isa.UNLOCK_VERSION, 1, 8, None)
+        # hw refused the holder.
+        assert refused(o, isa.UNLOCK_VERSION, 1, 7, None)
 
     def test_lock_latest_wrong_version_flagged(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        o.mirror_store(ADDR, 3, "c")
-        assert o.mirror_lock_latest(ADDR, 9, 5, 1, "a")  # hw picked v1, ref v3
-        # The failed mirror must not leave the reference locked.
-        assert o.structs[ADDR].is_locked(3) is False
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        done(o, isa.STORE_VERSION, 3, "c", None)
+        # hw picked v1, the reference v3.
+        assert done(o, isa.LOCK_LOAD_LATEST, 9, 5, out=(1, "a"))
+        # The op is compared before it is applied: nothing got locked.
+        assert o.tables[ADDR].lockers == {}
 
     def test_check_reclaim_safety(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        o.mirror_store(ADDR, 3, "c")
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        done(o, isa.STORE_VERSION, 3, "c", None)
         # Live task 2 reads latest<=2 == v1: reclaiming v1 is unsafe.
         problems = o.check_reclaim(ADDR, 1, live_tasks=[2])
         assert problems and "live task 2" in problems[0]
@@ -150,8 +176,8 @@ class TestOracleMirrors:
         # 65 *for* mutator 71 shadows v65.  Queued readers 66..70 are
         # above max_seen=65, so reclaiming v65 is within the GC contract.
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 65, "t65")
-        o.mirror_store(ADDR, 71, "t71")
+        done(o, isa.STORE_VERSION, 65, "t65", None)
+        done(o, isa.STORE_VERSION, 71, "t71", None)
         live = [66, 67, 70]
         assert o.check_reclaim(ADDR, 65, live, max_protected=65) == []
         # Without the bound (or with the task inside the begun window),
@@ -161,26 +187,39 @@ class TestOracleMirrors:
 
     def test_check_reclaim_latest_version_flagged(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 2, "b")
+        done(o, isa.STORE_VERSION, 2, "b", None)
         problems = o.check_reclaim(ADDR, 2, live_tasks=[])
         assert problems and "nothing shadows" in problems[0]
 
     def test_check_reclaim_locked_flagged(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        o.mirror_store(ADDR, 2, "b")
-        o.mirror_lock_exact(ADDR, 1, 7, "a")
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        done(o, isa.STORE_VERSION, 2, "b", None)
+        done(o, isa.LOCK_LOAD_VERSION, 1, 7, out="a")
         assert any(
             "locked" in p for p in o.check_reclaim(ADDR, 1, live_tasks=[])
         )
 
     def test_mirror_free_count_mismatch(self):
         o = DifferentialOracle()
-        o.mirror_store(ADDR, 1, "a")
-        o.mirror_store(ADDR, 2, "b")
-        assert o.mirror_free(ADDR, 1)  # hw freed 1 block, ref had 2
-        o.mirror_store(ADDR, 1, "x")
-        assert o.mirror_free(ADDR, 1) == []
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        done(o, isa.STORE_VERSION, 2, "b", None)
+        # hw freed 1 block, the reference had 2.
+        assert o.check_op("free_ostructure", (ADDR,), 1, None)
+        done(o, isa.STORE_VERSION, 1, "x", None)
+        assert o.check_op("free_ostructure", (ADDR,), 1, None) == []
+
+    def test_unrelated_errors_are_not_compared(self):
+        # A protection fault, or a rename target conflict already
+        # reported by the internal store, leaves the reference alone.
+        o = DifferentialOracle()
+        done(o, isa.STORE_VERSION, 1, "a", None)
+        done(o, isa.LOCK_LOAD_VERSION, 1, 7, out="a")
+        fault = ProtectionFault("conventional page")
+        assert o.check_op(isa.LOAD_VERSION, (0, ADDR, 1), None, fault) == []
+        clash = VersionExistsError("rename target")
+        assert o.check_op(isa.UNLOCK_VERSION, (0, ADDR, 1, 7, 1), None, clash) == []
+        assert o.tables[ADDR].lockers == {1: 7}
 
     def test_compare_all_spots_extra_and_missing(self):
         from tests.test_manager import Rig
@@ -188,14 +227,14 @@ class TestOracleMirrors:
         rig = Rig()
         o = DifferentialOracle()
         rig.manager.store_version(0, rig.addr, 1, "a")
-        o.mirror_store(rig.addr, 1, "a")
+        done(o, isa.STORE_VERSION, 1, "a", None, addr=rig.addr)
         assert o.compare_all(rig.manager) == []
         # hw-only version.
         rig.manager.store_version(0, rig.addr, 2, "b")
         assert any("hw only" in p for p in o.compare_all(rig.manager))
-        o.mirror_store(rig.addr, 2, "b")
+        done(o, isa.STORE_VERSION, 2, "b", None, addr=rig.addr)
         # reference-only version.
-        o.mirror_store(rig.addr + 4, 1, "z")
+        done(o, isa.STORE_VERSION, 1, "z", None, addr=rig.addr + 4)
         assert any(
             "reference only" in p for p in o.compare_all(rig.manager)
         )

@@ -82,7 +82,7 @@ class TestCleanRuns:
         m.manager.store_version(0, addr, 1, "a")
         m.manager.store_version(0, addr, 2, "b")
         m.manager.free_ostructure(addr)
-        assert addr not in m.sanitizer.oracle.structs
+        assert addr not in m.sanitizer.oracle.tables
         m.sanitizer.finish()
 
 
@@ -235,7 +235,7 @@ class TestInstallUninstall:
         addr = m.heap.alloc_versioned(4)
         mgr = m.manager
         assert m.sanitizer._on_op in m.events.op
-        m.sanitizer.uninstall()
+        m.sanitizer.detach()
         # Nothing was patched: unsubscribing leaves the bus empty, and
         # ops reach no oracle.
         assert all(getattr(m.events, event) == () for event in EVENTS)

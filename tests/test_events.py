@@ -219,7 +219,7 @@ class TestDetachRegressions:
             m, cell = _machine(1)
             rec = SpanRecorder(m)
             if with_sanitizer:
-                Sanitizer(m).uninstall()
+                Sanitizer(m).detach()
             m.submit([Task(1, _latest_reader(cell))])
             m.run()
             edges.append(rec.consumes)
@@ -324,13 +324,6 @@ def _attach(name: str, m: Machine, directory: str):
     return FaultInjector(m, _TRANSPARENT_PLAN)
 
 
-def _detach(consumer) -> None:
-    if isinstance(consumer, Sanitizer):
-        consumer.uninstall()
-    else:
-        consumer.detach()
-
-
 def _record(name: str, consumer, directory: str):
     if name == "tracer":
         return list(consumer.events())
@@ -371,7 +364,7 @@ def _run(actions: list[tuple[str, str]]) -> tuple[Machine, dict]:
                 live[name] = _attach(name, m, directory)
                 added[name] = _bus_size(m) - before
             else:
-                _detach(live.pop(name))
+                live.pop(name).detach()
                 assert _bus_size(m) == sum(added[n] for n in live)
         m.submit(tasks)
         m.run()
@@ -423,7 +416,7 @@ def test_detaching_everything_leaves_a_fresh_machine(attach, detach):
         m, tasks = _chain_machine()
         live = {name: _attach(name, m, directory) for name in attach}
         for name in detach:
-            _detach(live.pop(name))
+            live.pop(name).detach()
         assert _bus_is_empty(m)
         m.submit(tasks)
         stats = m.run().snapshot()

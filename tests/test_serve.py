@@ -290,6 +290,27 @@ class TestServer:
 
         run(scenario())
 
+    def test_failed_renaming_unlock_keeps_the_lock(self):
+        async def scenario():
+            server = await _boot(threads=1)
+            try:
+                async with AsyncServeClient(*server.address, pool_size=1) as c:
+                    await c.store_version("k", 1, "a")
+                    await c.store_version("k", 2, "b")
+                    assert await c.lock_load_version("k", 1, task_id=7) == "a"
+                    with pytest.raises(ServeVersionExists):
+                        await c.unlock_version("k", 1, task_id=7, new_version=2)
+                    # Still locked by task 7: a probe refuses v1, and the
+                    # holder can release it.
+                    with pytest.raises(ServeVersionNotFound):
+                        await c.load_version("k", 1, deadline_ms=0)
+                    await c.unlock_version("k", 1, task_id=7)
+                    assert await c.load_version("k", 1, deadline_ms=0) == "a"
+            finally:
+                await server.drain()
+
+        run(scenario())
+
     def test_malformed_request_fields_get_bad_request(self):
         async def scenario():
             server = await _boot(threads=1)

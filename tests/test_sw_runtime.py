@@ -76,6 +76,19 @@ class TestSWOStructureBasics:
         with pytest.raises(VersionExistsError):
             o.unlock_version(1, task_id=7, new_version=2)
 
+    def test_failed_rename_keeps_the_lock(self):
+        # The hardware manager stores the renamed copy before it releases
+        # the lock, so a rename onto an existing version leaves v1 held.
+        o = SWOStructure()
+        o.store_version(1, "a")
+        o.store_version(2, "b")
+        o.lock_load_version(1, task_id=7)
+        with pytest.raises(VersionExistsError):
+            o.unlock_version(1, task_id=7, new_version=2)
+        assert o.dump() == {1: ("a", 7), 2: ("b", None)}
+        o.unlock_version(1, task_id=7)
+        assert o.load_version(1) == "a"
+
     def test_locker_introspection(self):
         o = SWOStructure()
         o.store_version(1, "a")
@@ -118,6 +131,30 @@ class TestSWOStructureThreads:
         o.store_version(1, 99)
         t.join(timeout=5)
         assert result["value"] == 99
+
+    def test_timeout_is_one_deadline_under_write_traffic(self):
+        # Stores of other versions wake the waiter every 50 ms; each wake
+        # must not restart the 0.3 s timeout.
+        o = SWOStructure()
+        stop = threading.Event()
+
+        def writer():
+            for v in range(40):  # one store every 50 ms for 2 s
+                if stop.wait(0.05):
+                    return
+                o.store_version(v, v)
+
+        t = threading.Thread(target=writer)
+        t.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(SWTimeout):
+                o.load_version(10**6, timeout=0.3)
+            assert time.monotonic() - start < 1.0
+        finally:
+            stop.set()
+            t.join(timeout=5)
+        assert not t.is_alive()
 
     def test_blocked_latest_sees_version_created_while_waiting(self):
         o = SWOStructure()

@@ -15,11 +15,11 @@ over time:
   with no per-event limit checks; ``run(max_events=N)`` walks the bounded
   peek-check-pop loop.  Same events, same result — the delta is pure loop
   overhead.
-- **pooled waiter wake-ups**: ``OStructureManager._notify`` schedules one
-  pooled ``_WakeBatch`` event per notification instead of one event per
-  waiter.  The A arm reproduces the old per-waiter scheme; the B arm is
-  the pooled batch.  Callback order is asserted identical; the kernel
-  sees K times fewer schedules.
+- **batched waiter wake-ups**: ``OStructureManager._notify`` schedules one
+  event per notification instead of one event per waiter.  The A arm
+  reproduces the old per-waiter scheme; the B arm drives the manager's
+  own ``_schedule_wake``.  Callback order is asserted identical; the
+  kernel sees K times fewer schedules.
 
 Timing assertions are deliberately absent: CI boxes are noisy.  The
 deterministic half of each A/B (identical behaviour, fewer kernel events)
@@ -34,8 +34,8 @@ import time
 import pytest
 from common import echo
 
+from repro import Machine, MachineConfig
 from repro.harness.report import format_table
-from repro.ostruct.manager import _WakeBatch
 from repro.sim.engine import Simulator
 
 AB_EVENTS = 200_000
@@ -181,34 +181,25 @@ def test_event_drain_fast_path(run_once, benchmark):
     ))
 
 
-class _PoolHost:
-    """The two pool attributes ``_WakeBatch`` recycles itself into."""
-
-    def __init__(self):
-        self._list_pool = []
-        self._batch_pool = []
-
-
 @pytest.mark.figure("hotloop")
 def test_batched_wakeups(run_once, benchmark):
-    """One pooled _WakeBatch per notification vs one event per waiter."""
+    """The manager's one event per notification vs one event per waiter."""
 
     def run_arm(batched: bool):
-        sim = Simulator()
-        host = _PoolHost()
+        if batched:
+            manager = Machine(MachineConfig(num_cores=1)).manager
+            sim = manager.sim
+        else:
+            sim = Simulator()
+        seq0 = sim._seq
         order: list[int] = []
         cbs = [lambda i=i: order.append(i) for i in range(WAITERS)]
 
         def notify():
-            # What OStructureManager._notify does on each arm.
             if batched:
-                pool = host._batch_pool
-                batch = pool.pop() if pool else _WakeBatch(host)
-                lst = host._list_pool
-                wake = lst.pop() if lst else []
-                wake.extend(cbs)
-                batch.cbs = wake
-                sim.schedule(1, batch)
+                # A popped waiter list, as OStructureManager._notify
+                # hands it over.
+                manager._schedule_wake(list(cbs), 1)
             else:
                 for cb in cbs:
                     sim.schedule(1, cb)
@@ -218,20 +209,16 @@ def test_batched_wakeups(run_once, benchmark):
         t0 = time.perf_counter()
         sim.run()
         elapsed = time.perf_counter() - t0
-        return order, sim._seq, len(host._batch_pool), elapsed
+        return order, sim._seq - seq0, elapsed
 
     def measure():
         return run_arm(batched=False), run_arm(batched=True)
 
-    (old_order, old_seq, _, old_s), (new_order, new_seq, pooled, new_s) = run_once(
-        measure
-    )
+    (old_order, old_seq, old_s), (new_order, new_seq, new_s) = run_once(measure)
     # Same callbacks, same order — only the kernel traffic differs.
     assert new_order == old_order
     assert len(new_order) == WAKE_ROUNDS * WAITERS
     assert old_seq - new_seq == WAKE_ROUNDS * (WAITERS - 1)
-    # The pool actually recycled: one record served all rounds.
-    assert pooled == 1
 
     benchmark.extra_info["per_waiter_s"] = old_s
     benchmark.extra_info["batched_s"] = new_s
@@ -239,7 +226,7 @@ def test_batched_wakeups(run_once, benchmark):
         ("scheme", "kernel schedules", "wall s"),
         [
             ("per-waiter (original)", old_seq, old_s),
-            ("pooled batch", new_seq, new_s),
+            ("one event per notification", new_seq, new_s),
         ],
         title=f"Waiter wake-up A/B ({WAKE_ROUNDS} rounds x {WAITERS} waiters)",
         floatfmt="{:.3f}",

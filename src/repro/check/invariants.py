@@ -3,8 +3,8 @@
 ``check_invariants(machine)`` inspects the whole O-structure subsystem and
 returns a list of human-readable problem strings (empty when healthy).
 The checks deliberately reach into private state — this module is the
-white-box auditor for exactly the internal caches and index structures
-the PR-1 fast paths added:
+white-box auditor for the internal caches and index structures of the
+direct-lookup path:
 
 1. every version list is sorted, duplicate-free, head-bit-consistent;
 2. no physical block address is both live (linked into a list or queued
@@ -12,10 +12,8 @@ the PR-1 fast paths added:
 3. every per-core compressed-line entry is backed by the block actually
    linked into the address's version list (a stale entry here is how a
    GC-reclaimed version would get served);
-4. the one-entry ``(core, vaddr)`` lookup memo points at the entry the
-   per-core table really holds;
-5. GC shadowed/pending blocks are flagged, still linked, and not freed;
-6. parked waiters only exist on versioned pages.
+4. GC shadowed/pending blocks are flagged, still linked, and not freed;
+5. parked waiters only exist on versioned pages.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ def check_invariants(machine: "Machine") -> list[str]:
     problems.extend(_check_version_lists(machine))
     problems.extend(_check_paddr_accounting(machine))
     problems.extend(_check_compressed_lines(machine))
-    problems.extend(_check_memo(machine))
     problems.extend(_check_gc_lists(machine))
     problems.extend(_check_waiters(machine))
     return problems
@@ -113,19 +110,6 @@ def _check_compressed_lines(machine: "Machine") -> list[str]:
                         f"the one linked into the version list"
                     )
     return problems
-
-
-def _check_memo(machine: "Machine") -> list[str]:
-    mgr = machine.manager
-    if mgr._memo_core < 0 or mgr._memo_entry is None:
-        return []
-    current = mgr._direct[mgr._memo_core].get(mgr._memo_vaddr)
-    if current is not mgr._memo_entry:
-        return [
-            f"(core, vaddr) memo (core {mgr._memo_core}, "
-            f"0x{mgr._memo_vaddr:x}) points at a detached compressed entry"
-        ]
-    return []
 
 
 def _check_gc_lists(machine: "Machine") -> list[str]:

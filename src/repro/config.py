@@ -163,9 +163,7 @@ class MachineConfig:
     #: fast-path interpreter, retiring a whole run in one engine event.
     #: Simulated behaviour — ``SimStats``, traces, metric snapshots — is
     #: byte-identical either way (enforced by tests/test_fuse.py); this
-    #: knob only trades host time for per-op debuggability.  The
-    #: ``REPRO_FUSED=0`` environment escape hatch disables fusion
-    #: globally without touching config identity.
+    #: knob only trades host time for per-op debuggability.
     fused: bool = True
 
     def __post_init__(self) -> None:

@@ -43,7 +43,6 @@ from typing import Any, Iterator, Sequence
 
 from ..errors import ConfigError, SweepFailure
 from ..recovery.checkpoint import atomic_write_bytes
-from ..sim.fuse import env_enabled as _fused_env_enabled
 
 #: Default cache directory (under the current working directory).
 CACHE_DIR_NAME = ".repro_cache"
@@ -406,11 +405,6 @@ class SweepRunner:
     Checkpointed rows live in their own cache namespace
     (``<code-version>-ckpt<N>``) because the epoch pin changes GC
     dynamics; disabled (the default), checkpointing costs nothing.
-    Likewise, runs under the ``REPRO_FUSED=0`` escape hatch append
-    ``-nofuse`` (composable, e.g. ``<code-version>-ckpt500-nofuse``):
-    the per-op tier is byte-identical to the fused one by contract, but
-    rows produced while *verifying* that contract must never alias the
-    rows they are checked against.
 
     Failures the worker *reports* (a raised simulation error) are
     deterministic and re-raise immediately; only process-level failures
@@ -465,15 +459,6 @@ class SweepRunner:
         version = code_version()
         if self.checkpoint_every is not None:
             version = f"{version}-ckpt{self.checkpoint_every}"
-        # Execution tier: ``config.fused`` is part of the spec repr and
-        # therefore of the row digest, but the ``REPRO_FUSED`` escape
-        # hatch flips the tier *without* touching config identity.  Rows
-        # produced under it get their own namespace — the tiers are
-        # byte-identical by contract, but the hatch exists precisely for
-        # bisecting a suspected fusion bug, and a bisection that silently
-        # reads the other tier's cached rows would prove nothing.
-        if not _fused_env_enabled():
-            version = f"{version}-nofuse"
         self.cache = ResultCache(cache_dir, version=version) if use_cache else None
         if resume and self.cache is not None:
             self.cache.clean_stale_tmp()

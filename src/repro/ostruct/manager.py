@@ -127,35 +127,6 @@ class _DirectEntry:
         self.blocks.pop(version, None)
 
 
-class _WakeBatch:
-    """One scheduled event that runs a whole waiter list in order.
-
-    Batch records (and the waiter lists they carry) are pooled on the
-    manager: notifications are the highest-frequency allocation site in
-    contended runs, and recycling the record plus its list makes the
-    park/notify/retry cycle allocation-free in steady state.  A record is
-    returned to the pool only after it fires cleanly; one abandoned by a
-    propagating fault simply falls to the garbage collector.
-    """
-
-    __slots__ = ("manager", "cbs")
-
-    def __init__(self, manager: "OStructureManager"):
-        self.manager = manager
-        self.cbs: list[Callable[[], None]] | None = None
-
-    def __call__(self) -> None:
-        cbs = self.cbs
-        assert cbs is not None
-        self.cbs = None
-        for cb in cbs:
-            cb()
-        cbs.clear()
-        manager = self.manager
-        manager._list_pool.append(cbs)
-        manager._batch_pool.append(self)
-
-
 class OStructureManager:
     """Implements the seven versioned-memory operations of Section II-A."""
 
@@ -174,12 +145,7 @@ class OStructureManager:
         "_direct",
         "_block_index",
         "_waiters",
-        "_batch_pool",
-        "_list_pool",
         "roots",
-        "_memo_core",
-        "_memo_vaddr",
-        "_memo_entry",
         "_created",
         "_track_created",
     )
@@ -225,18 +191,8 @@ class OStructureManager:
         ]
         #: vaddr -> callbacks waiting for a store/unlock at that address.
         self._waiters: dict[int, list[Callable[[], None]]] = {}
-        # Recycled wake-batch records and waiter lists (see _WakeBatch).
-        self._batch_pool: list[_WakeBatch] = []
-        self._list_pool: list[list[Callable[[], None]]] = []
         #: Addresses registered as data-structure roots (stall accounting).
         self.roots: set[int] = set()
-        # One-entry memo of the last (core, vaddr) -> _DirectEntry lookup.
-        # The fast path touches the same compressed line several times per
-        # operation (_direct_lookup then _cache_version); memoising the
-        # dict probe is safe because every removal below invalidates it.
-        self._memo_core: int = -1
-        self._memo_vaddr: int = -1
-        self._memo_entry: _DirectEntry | None = None
         #: task id -> [(vaddr, version), ...] it created, in order.
         #: Tracked only when something can abort tasks (watchdog or an
         #: abort-task fault plan) — it is pure overhead otherwise.
@@ -257,7 +213,6 @@ class OStructureManager:
         """Discard the compressed lines an evicted L1 block carried."""
         vaddrs = self._block_index[core_id].pop(block, None)
         if vaddrs:
-            self._memo_core = -1
             for vaddr in vaddrs:
                 self._direct[core_id].pop(vaddr, None)
 
@@ -281,19 +236,12 @@ class OStructureManager:
         """Selectively cache one version in the core's compressed line."""
         if not self.config.compression_enabled:
             return
-        if core_id == self._memo_core and vaddr == self._memo_vaddr:
-            entry = self._memo_entry
-            assert entry is not None
-        else:
-            direct = self._direct[core_id]
-            entry = direct.get(vaddr)
-            if entry is None:
-                entry = _DirectEntry()
-                direct[vaddr] = entry
-                self._block_index[core_id].setdefault(vaddr >> 6, set()).add(vaddr)
-            self._memo_core = core_id
-            self._memo_vaddr = vaddr
-            self._memo_entry = entry
+        direct = self._direct[core_id]
+        entry = direct.get(vaddr)
+        if entry is None:
+            entry = _DirectEntry()
+            direct[vaddr] = entry
+            self._block_index[core_id].setdefault(vaddr >> 6, set()).add(vaddr)
         entry.put(block)
         metrics = self.metrics
         if metrics is not None:
@@ -313,14 +261,7 @@ class OStructureManager:
             return None
         if not self.hierarchy.l1s[core_id].contains(vaddr >> 6):
             return None
-        if core_id == self._memo_core and vaddr == self._memo_vaddr:
-            entry = self._memo_entry
-        else:
-            entry = self._direct[core_id].get(vaddr)
-            if entry is not None:
-                self._memo_core = core_id
-                self._memo_vaddr = vaddr
-                self._memo_entry = entry
+        entry = self._direct[core_id].get(vaddr)
         if entry is None:
             return None
         if version is not None:
@@ -341,10 +282,9 @@ class OStructureManager:
     def add_waiter(self, vaddr: int, cb: Callable[[], None]) -> None:
         cbs = self._waiters.get(vaddr)
         if cbs is None:
-            pool = self._list_pool
-            cbs = pool.pop() if pool else []
-            self._waiters[vaddr] = cbs
-        cbs.append(cb)
+            self._waiters[vaddr] = [cb]
+        else:
+            cbs.append(cb)
 
     def remove_waiter(self, vaddr: int, cb: Callable[[], None]) -> bool:
         """Unregister one parked waiter.
@@ -359,7 +299,6 @@ class OStructureManager:
         cbs.remove(cb)
         if not cbs:
             del self._waiters[vaddr]
-            self._list_pool.append(cbs)
         return True
 
     def waiter_count(self, vaddr: int) -> int:
@@ -390,19 +329,17 @@ class OStructureManager:
     def _schedule_wake(self, cbs: list[Callable[[], None]], delay: int) -> None:
         """Schedule one event that fires a popped waiter list in order.
 
-        ``cbs`` must already be detached from ``_waiters``; it is recycled
-        into the list pool after delivery (immediately for the
-        single-waiter direct path, by the batch record otherwise).
+        ``cbs`` must already be detached from ``_waiters``.
         """
         if len(cbs) == 1:
             self.sim.schedule(delay, cbs[0])
-            cbs.clear()
-            self._list_pool.append(cbs)
         else:
-            pool = self._batch_pool
-            batch = pool.pop() if pool else _WakeBatch(self)
-            batch.cbs = cbs
-            self.sim.schedule(delay, batch)
+
+            def wake() -> None:
+                for cb in cbs:
+                    cb()
+
+            self.sim.schedule(delay, wake)
 
     def _notify(self, vaddr: int) -> None:
         """Wake every waiter on ``vaddr``; they retry next cycle.
@@ -845,7 +782,6 @@ class OStructureManager:
         self.gc.forget_block(block)
         self.free_list.release(block.paddr)
         self.hierarchy.invalidate_everywhere(block.paddr)
-        self._memo_core = -1
         for core_direct in self._direct:
             entry = core_direct.get(vaddr)
             if entry is not None:
@@ -902,7 +838,6 @@ class OStructureManager:
         # queues; purge them or a later phase double-releases the paddrs
         # just returned to the free list.
         self.gc.forget_address(vaddr)
-        self._memo_core = -1
         for core_id in range(self.config.num_cores):
             self._direct[core_id].pop(vaddr, None)
             idx = self._block_index[core_id].get(vaddr >> 6)

@@ -303,8 +303,9 @@ def compare(
 
     Returns ``(ok, report)``; ``ok`` is False when any probe's normalised
     score dropped more than ``tolerance`` below the baseline, or when the
-    baseline is missing a probe that now exists (a silently ungated probe
-    is itself a regression of the gate).
+    baseline and :data:`PROBES` disagree on which probes exist, in either
+    direction (a silently ungated probe is itself a regression of the
+    gate).
     """
     path = Path(baseline_path)
     if not path.exists():
@@ -347,6 +348,11 @@ def compare(
             f"{name:<22} {ref['normalized']:>10.4f} {best_norm:>10.4f} "
             f"{ratio:>6.2f}x  {verdict}"
         )
+    for name, ref in base.get("probes", {}).items():
+        if name not in current["probes"]:
+            ok = False
+            lines.append(f"{name:<22} {ref['normalized']:>10.4f} {'-':>10} "
+                         f"{'-':>7}  MISSING FROM PROBES")
     lines.append(
         f"tolerance: -{tolerance:.0%}; calibration baseline "
         f"{base.get('calibration_ops_per_s', 0):.0f} vs current "

@@ -81,9 +81,9 @@ class Core:
         self._abort_pending = False
         self._restart_delay = 0
         # Fused-block interpreter (repro.sim.fuse), built once with all
-        # machine-stable state in closure cells; None when fusion is off
-        # (config knob or the REPRO_FUSED env escape hatch).
-        self._run_block = make_interpreter(self) if machine.fused_enabled else None
+        # machine-stable state in closure cells; None when
+        # ``config.fused`` is off.
+        self._run_block = make_interpreter(self) if machine.config.fused else None
         # Congestion backoff: when a block fuses nothing (the very first
         # advance is refused because neighbouring cores keep the event
         # queue hot), skip the next COOLDOWN fusible entries and take the

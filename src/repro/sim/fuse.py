@@ -30,17 +30,15 @@ Byte-identity is by construction, not by approximation:
   mutates nothing, so probing first and falling back to the full
   hierarchy walk is byte-identical to always walking.
 
-Fusion is controlled by ``MachineConfig.fused`` (default on) and can be
-globally disabled — e.g. to bisect a suspected fusion bug without
-touching config hashes — with ``REPRO_FUSED=0``.  Fusion telemetry lives
-in :class:`FuseStats` on the machine, deliberately *outside*
-``SimStats``: simulation statistics must stay byte-identical between
-tiers, and these counters by construction differ.
+Fusion is controlled by ``MachineConfig.fused`` (default on); the
+per-op tier it disables is the reference the byte-identity tests compare
+against.  Fusion telemetry lives in :class:`FuseStats` on the machine,
+deliberately *outside* ``SimStats``: simulation statistics must stay
+byte-identical between tiers, and these counters by construction differ.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..ostruct import isa
@@ -67,16 +65,6 @@ FUSIBLE = frozenset({_COMPUTE, _LOAD, _STORE})
 #: given op cannot change simulated behaviour, and the cooldown state
 #: itself is a deterministic function of the (deterministic) schedule.
 COOLDOWN = 31
-
-
-def env_enabled() -> bool:
-    """False when ``REPRO_FUSED`` globally disables fusion (debugging)."""
-    return os.environ.get("REPRO_FUSED", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
 
 
 class FuseStats:

@@ -37,7 +37,7 @@ from ..runtime.task import Task, TaskTracker
 from .core import Core
 from .engine import Simulator
 from .events import EventBus
-from .fuse import FuseStats, env_enabled as _fuse_env_enabled
+from .fuse import FuseStats
 from .hierarchy import MemoryHierarchy
 from .stats import SimStats
 
@@ -59,6 +59,32 @@ def remove_machine_observer(fn: Callable[["Machine"], None]) -> None:
 
 class Machine:
     """The full simulated platform of Table II plus O-structure support."""
+
+    __slots__ = (
+        "config",
+        "sim",
+        "stats",
+        "events",
+        "hierarchy",
+        "page_table",
+        "heap",
+        "mem",
+        "tracker",
+        "free_list",
+        "gc",
+        "manager",
+        "fuse_stats",
+        "cores",
+        "retired_ops",
+        "metrics",
+        "checkpointer",
+        "rwlocks",
+        "_ran",
+        "_submitted",
+        "watchdog",
+        "injector",
+        "sanitizer",
+    )
 
     def __init__(
         self,
@@ -106,9 +132,6 @@ class Machine:
             stats=self.stats,
             events=self.events,
         )
-        #: Effective fusion switch the cores read at build time:
-        #: ``config.fused`` unless ``REPRO_FUSED`` disables it globally.
-        self.fused_enabled = self.config.fused and _fuse_env_enabled()
         #: Fusion telemetry (repro.sim.fuse) — host-side only, kept off
         #: ``SimStats`` so fused and unfused runs stay byte-identical.
         self.fuse_stats = FuseStats()

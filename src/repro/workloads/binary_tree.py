@@ -39,7 +39,7 @@ from .base import (
     run_variant,
 )
 from .linked_list import ALLOC_COMPUTE
-from .opgen import DELETE, INSERT, LOOKUP, SCAN, compute_op, load_op, store_op
+from .opgen import DELETE, INSERT, LOOKUP, SCAN
 
 
 class VersionedBinaryTree:
@@ -109,9 +109,9 @@ class VersionedBinaryTree:
         Children are written once with version ``tid`` (a version is
         immutable once created, so callers pass the final values).
         """
-        yield compute_op(ALLOC_COMPUTE)
+        yield isa.compute(ALLOC_COMPUTE)
         nid = self._alloc_node_functional(key)
-        yield store_op(self.key_addr(nid), key)
+        yield isa.store(self.key_addr(nid), key)
         yield isa.store_version(self.left_vaddr(nid), tid, left)
         yield isa.store_version(self.right_vaddr(nid), tid, right)
         return nid
@@ -127,8 +127,8 @@ class VersionedBinaryTree:
         yield from self._reader_enter(entry)
         _, cur = yield isa.load_latest(self.root_addr, tid)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 return True
             _, cur = yield isa.load_latest(self._child_vaddr(cur, key > k), tid)
@@ -147,8 +147,8 @@ class VersionedBinaryTree:
         _, cur = yield isa.load_latest(self.root_addr, tid)
         while (cur or stack) and len(out) < count:
             while cur:
-                yield compute_op(HOP_COMPUTE)
-                k = yield load_op(self.key_addr(cur))
+                yield isa.compute(HOP_COMPUTE)
+                k = yield isa.load(self.key_addr(cur))
                 if k >= key:
                     stack.append(cur)
                     _, cur = yield isa.load_latest(self.left_vaddr(cur), tid)
@@ -157,7 +157,7 @@ class VersionedBinaryTree:
             if not stack:
                 break
             node = stack.pop()
-            k = yield load_op(self.key_addr(node))
+            k = yield isa.load(self.key_addr(node))
             out.append(k)
             _, cur = yield isa.load_latest(self.right_vaddr(node), tid)
         return out
@@ -170,8 +170,8 @@ class VersionedBinaryTree:
         yield isa.unlock_version(self.ticket_addr, tid, rename_to)
         prev_vaddr, prev_ver = self.root_addr, rv
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 yield isa.unlock_version(prev_vaddr, prev_ver)
                 return False
@@ -192,8 +192,8 @@ class VersionedBinaryTree:
         prev_vaddr, prev_ver = self.root_addr, rv
         k = None
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 break
             child_vaddr = self._child_vaddr(cur, key > k)
@@ -230,7 +230,7 @@ class VersionedBinaryTree:
             sp_vaddr, sp_ver = child_vaddr, cv
             succ = child
         _, succ_right = yield isa.load_latest(self.right_vaddr(succ), tid)
-        skey = yield load_op(self.key_addr(succ))
+        skey = yield isa.load(self.key_addr(succ))
         if sp_vaddr == self.right_vaddr(cur):
             # The successor is cur's right child: the replacement adopts
             # the successor's own right subtree; nothing to splice (the
@@ -316,89 +316,89 @@ class UnversionedBinaryTree:
     # -- individual operations (reused by the rwlock baseline) ---------------
 
     def lookup_op(self, key: int) -> Generator:
-        cur = yield load_op(self.root_addr)
+        cur = yield isa.load(self.root_addr)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 return True
-            cur = yield load_op(self._child_addr(cur, key > k))
+            cur = yield isa.load(self._child_addr(cur, key > k))
         return False
 
     def scan_op(self, key: int, count: int) -> Generator:
         out: list[int] = []
         stack: list[int] = []
-        cur = yield load_op(self.root_addr)
+        cur = yield isa.load(self.root_addr)
         while (cur or stack) and len(out) < count:
             while cur:
-                yield compute_op(HOP_COMPUTE)
-                k = yield load_op(self.key_addr(cur))
+                yield isa.compute(HOP_COMPUTE)
+                k = yield isa.load(self.key_addr(cur))
                 if k >= key:
                     stack.append(cur)
-                    cur = yield load_op(self.left_addr(cur))
+                    cur = yield isa.load(self.left_addr(cur))
                 else:
-                    cur = yield load_op(self.right_addr(cur))
+                    cur = yield isa.load(self.right_addr(cur))
             if not stack:
                 break
             node = stack.pop()
-            k = yield load_op(self.key_addr(node))
+            k = yield isa.load(self.key_addr(node))
             out.append(k)
-            cur = yield load_op(self.right_addr(node))
+            cur = yield isa.load(self.right_addr(node))
         return out
 
     def insert_op(self, key: int) -> Generator:
         prev_addr = self.root_addr
-        cur = yield load_op(prev_addr)
+        cur = yield isa.load(prev_addr)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 return False
             prev_addr = self._child_addr(cur, key > k)
-            cur = yield load_op(prev_addr)
-        yield compute_op(ALLOC_COMPUTE)
+            cur = yield isa.load(prev_addr)
+        yield isa.compute(ALLOC_COMPUTE)
         nid = self.n_nodes
         if nid >= self.capacity:
             raise ConfigError("node pool exhausted")
         self.n_nodes += 1
-        yield store_op(self.key_addr(nid), key)
-        yield store_op(self.left_addr(nid), 0)
-        yield store_op(self.right_addr(nid), 0)
-        yield store_op(prev_addr, nid)
+        yield isa.store(self.key_addr(nid), key)
+        yield isa.store(self.left_addr(nid), 0)
+        yield isa.store(self.right_addr(nid), 0)
+        yield isa.store(prev_addr, nid)
         return True
 
     def delete_op(self, key: int) -> Generator:
         prev_addr = self.root_addr
-        cur = yield load_op(prev_addr)
+        cur = yield isa.load(prev_addr)
         k = None
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 break
             prev_addr = self._child_addr(cur, key > k)
-            cur = yield load_op(prev_addr)
+            cur = yield isa.load(prev_addr)
         if not cur:
             return False
-        lchild = yield load_op(self.left_addr(cur))
-        rchild = yield load_op(self.right_addr(cur))
+        lchild = yield isa.load(self.left_addr(cur))
+        rchild = yield isa.load(self.right_addr(cur))
         if lchild == 0 or rchild == 0:
-            yield store_op(prev_addr, lchild or rchild)
+            yield isa.store(prev_addr, lchild or rchild)
             return True
         # Two children: in-place successor copy (fine when exclusive).
         sp_addr = self.right_addr(cur)
         succ = rchild
         while True:
-            child = yield load_op(self.left_addr(succ))
-            yield compute_op(HOP_COMPUTE)
+            child = yield isa.load(self.left_addr(succ))
+            yield isa.compute(HOP_COMPUTE)
             if child == 0:
                 break
             sp_addr = self.left_addr(succ)
             succ = child
-        skey = yield load_op(self.key_addr(succ))
-        succ_right = yield load_op(self.right_addr(succ))
-        yield store_op(self.key_addr(cur), skey)
-        yield store_op(sp_addr, succ_right)
+        skey = yield isa.load(self.key_addr(succ))
+        succ_right = yield isa.load(self.right_addr(succ))
+        yield isa.store(self.key_addr(cur), skey)
+        yield isa.store(sp_addr, succ_right)
         return True
 
     def program(self, ops: list[tuple[str, int, int]]) -> Generator:

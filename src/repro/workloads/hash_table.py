@@ -29,7 +29,7 @@ from .base import (
     run_variant,
 )
 from .linked_list import ALLOC_COMPUTE
-from .opgen import DELETE, INSERT, LOOKUP, compute_op, load_op, store_op
+from .opgen import DELETE, INSERT, LOOKUP
 
 #: Cycles charged for computing the hash of a key.
 HASH_COMPUTE = 8
@@ -94,11 +94,11 @@ class VersionedHashTable:
     def lookup_task(self, tid: int, key: int, entry: tuple) -> Generator:
         if entry[0] == ENTER_LOAD:
             yield isa.load_version(self.ticket_addr, entry[1])
-        yield compute_op(HASH_COMPUTE)
+        yield isa.compute(HASH_COMPUTE)
         _, cur = yield isa.load_latest(self.bucket_vaddr(key % self.num_buckets), tid)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k >= key:
                 return k == key
             _, cur = yield isa.load_latest(self.next_vaddr(cur), tid)
@@ -108,13 +108,13 @@ class VersionedHashTable:
         prev_vaddr, prev_ver, cur = yield from self._enter_and_seek(tid, key, rename_to)
         k = None
         if cur:
-            k = yield load_op(self.key_addr(cur))
+            k = yield isa.load(self.key_addr(cur))
         if cur and k == key:
             yield isa.unlock_version(prev_vaddr, prev_ver)
             return False
-        yield compute_op(ALLOC_COMPUTE)
+        yield isa.compute(ALLOC_COMPUTE)
         nid = self._alloc_node_functional(key)
-        yield store_op(self.key_addr(nid), key)
+        yield isa.store(self.key_addr(nid), key)
         yield isa.store_version(self.next_vaddr(nid), tid, cur)
         yield isa.store_version(prev_vaddr, tid, nid)
         yield isa.unlock_version(prev_vaddr, prev_ver)
@@ -124,7 +124,7 @@ class VersionedHashTable:
         prev_vaddr, prev_ver, cur = yield from self._enter_and_seek(tid, key, rename_to)
         k = None
         if cur:
-            k = yield load_op(self.key_addr(cur))
+            k = yield isa.load(self.key_addr(cur))
         if not cur or k != key:
             yield isa.unlock_version(prev_vaddr, prev_ver)
             return False
@@ -136,14 +136,14 @@ class VersionedHashTable:
 
     def _enter_and_seek(self, tid: int, key: int, rename_to: int) -> Generator:
         yield isa.lock_load_version(self.ticket_addr, tid)
-        yield compute_op(HASH_COMPUTE)
+        yield isa.compute(HASH_COMPUTE)
         bucket = self.bucket_vaddr(key % self.num_buckets)
         hv, cur = yield isa.lock_load_latest(bucket, tid)
         yield isa.unlock_version(self.ticket_addr, tid, rename_to)
         prev_vaddr, prev_ver = bucket, hv
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k >= key:
                 break
             nv, nxt = yield isa.lock_load_latest(self.next_vaddr(cur), tid)
@@ -215,17 +215,17 @@ class UnversionedHashTable:
     def program(self, ops: list[tuple[str, int, int]]) -> Generator:
         results = []
         for op, key, _ in ops:
-            yield compute_op(HASH_COMPUTE)
+            yield isa.compute(HASH_COMPUTE)
             prev_addr = self.bucket_addr(key % self.num_buckets)
-            cur = yield load_op(prev_addr)
+            cur = yield isa.load(prev_addr)
             k = None
             while cur:
-                yield compute_op(HOP_COMPUTE)
-                k = yield load_op(self.key_addr(cur))
+                yield isa.compute(HOP_COMPUTE)
+                k = yield isa.load(self.key_addr(cur))
                 if k >= key:
                     break
                 prev_addr = self.next_addr(cur)
-                cur = yield load_op(prev_addr)
+                cur = yield isa.load(prev_addr)
             found = bool(cur) and k == key
             if op == LOOKUP:
                 results.append(found)
@@ -233,19 +233,19 @@ class UnversionedHashTable:
                 if found:
                     results.append(False)
                 else:
-                    yield compute_op(ALLOC_COMPUTE)
+                    yield isa.compute(ALLOC_COMPUTE)
                     nid = self.n_nodes
                     self.n_nodes += 1
-                    yield store_op(self.key_addr(nid), key)
-                    yield store_op(self.next_addr(nid), cur)
-                    yield store_op(prev_addr, nid)
+                    yield isa.store(self.key_addr(nid), key)
+                    yield isa.store(self.next_addr(nid), cur)
+                    yield isa.store(prev_addr, nid)
                     results.append(True)
             elif op == DELETE:
                 if not found:
                     results.append(False)
                 else:
-                    nxt = yield load_op(self.next_addr(cur))
-                    yield store_op(prev_addr, nxt)
+                    nxt = yield isa.load(self.next_addr(cur))
+                    yield isa.store(prev_addr, nxt)
                     results.append(True)
             else:
                 raise ConfigError(f"hash table does not support {op!r}")

@@ -23,7 +23,6 @@ from ..ostruct import isa
 from ..runtime.task import Task
 from ..sim.machine import Machine
 from .base import FIRST_TASK_ID, WorkloadRun, run_variant
-from .opgen import compute_op, load_op, store_op
 
 #: ALU cycles per DP cell (two compares, min of three, add).
 CELL_COMPUTE = 6
@@ -86,7 +85,7 @@ class LevenshteinWorkload:
             for j in range(cols):
                 yield isa.store_version(self.dp_addr(0, j), 1, j)
             return None
-        ch = yield load_op(self.s1_base + 4 * (i - 1))
+        ch = yield isa.load(self.s1_base + 4 * (i - 1))
         yield isa.store_version(self.dp_addr(i, 0), 1, i)
         left = i
         # The (i-1, j-1) value is carried across iterations: each step
@@ -94,8 +93,8 @@ class LevenshteinWorkload:
         diag = yield isa.load_version(self.dp_addr(i - 1, 0), 1)
         for j in range(1, cols):
             up = yield isa.load_version(self.dp_addr(i - 1, j), 1)
-            c2 = yield load_op(self.s2_base + 4 * (j - 1))
-            yield compute_op(CELL_COMPUTE)
+            c2 = yield isa.load(self.s2_base + 4 * (j - 1))
+            yield isa.compute(CELL_COMPUTE)
             cost = 0 if ch == c2 else 1
             val = min(up + 1, left + 1, diag + cost)
             yield isa.store_version(self.dp_addr(i, j), 1, val)
@@ -108,20 +107,20 @@ class LevenshteinWorkload:
     def sequential_program(self, tid: int) -> Generator:
         cols = self.cols
         for j in range(cols):
-            yield store_op(self.dp_addr(0, j), j)
+            yield isa.store(self.dp_addr(0, j), j)
         result = 0
         for i in range(1, self.rows):
-            ch = yield load_op(self.s1_base + 4 * (i - 1))
-            yield store_op(self.dp_addr(i, 0), i)
+            ch = yield isa.load(self.s1_base + 4 * (i - 1))
+            yield isa.store(self.dp_addr(i, 0), i)
             left = i
-            diag = yield load_op(self.dp_addr(i - 1, 0))
+            diag = yield isa.load(self.dp_addr(i - 1, 0))
             for j in range(1, cols):
-                up = yield load_op(self.dp_addr(i - 1, j))
-                c2 = yield load_op(self.s2_base + 4 * (j - 1))
-                yield compute_op(CELL_COMPUTE)
+                up = yield isa.load(self.dp_addr(i - 1, j))
+                c2 = yield isa.load(self.s2_base + 4 * (j - 1))
+                yield isa.compute(CELL_COMPUTE)
                 cost = 0 if ch == c2 else 1
                 val = min(up + 1, left + 1, diag + cost)
-                yield store_op(self.dp_addr(i, j), val)
+                yield isa.store(self.dp_addr(i, j), val)
                 diag = up
                 left = val
             result = left

@@ -33,7 +33,7 @@ from .base import (
     plan_entries,
     run_variant,
 )
-from .opgen import DELETE, INSERT, LOOKUP, compute_op, load_op, store_op
+from .opgen import DELETE, INSERT, LOOKUP
 
 #: Cycles charged for a node allocation from the (software) pool.
 ALLOC_COMPUTE = 20
@@ -95,8 +95,8 @@ class VersionedLinkedList:
         yield from self._reader_enter(entry)
         _, cur = yield isa.load_latest(self.head_addr, tid)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k >= key:
                 return k == key
             _, cur = yield isa.load_latest(self.next_vaddr(cur), tid)
@@ -116,13 +116,13 @@ class VersionedLinkedList:
         prev_vaddr, prev_ver, cur = yield from self._enter_and_seek(tid, key, rename_to)
         k = None
         if cur:
-            k = yield load_op(self.key_addr(cur))
+            k = yield isa.load(self.key_addr(cur))
         if cur and k == key:
             yield isa.unlock_version(prev_vaddr, prev_ver)
             return False
-        yield compute_op(ALLOC_COMPUTE)
+        yield isa.compute(ALLOC_COMPUTE)
         nid = self._alloc_node_functional(key)
-        yield store_op(self.key_addr(nid), key)
+        yield isa.store(self.key_addr(nid), key)
         yield isa.store_version(self.next_vaddr(nid), tid, cur)
         yield isa.store_version(prev_vaddr, tid, nid)  # rename: shadows old
         yield isa.unlock_version(prev_vaddr, prev_ver)
@@ -132,7 +132,7 @@ class VersionedLinkedList:
         prev_vaddr, prev_ver, cur = yield from self._enter_and_seek(tid, key, rename_to)
         k = None
         if cur:
-            k = yield load_op(self.key_addr(cur))
+            k = yield isa.load(self.key_addr(cur))
         if not cur or k != key:
             yield isa.unlock_version(prev_vaddr, prev_ver)
             return False
@@ -153,8 +153,8 @@ class VersionedLinkedList:
         yield isa.unlock_version(self.ticket_addr, tid, rename_to)
         prev_vaddr, prev_ver = self.head_addr, hv
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k >= key:
                 break
             nv, nxt = yield isa.lock_load_latest(self.next_vaddr(cur), tid)
@@ -208,15 +208,15 @@ class UnversionedLinkedList:
         results = []
         for op, key, _ in ops:
             prev_addr = self.head_addr
-            cur = yield load_op(prev_addr)
+            cur = yield isa.load(prev_addr)
             k = None
             while cur:
-                yield compute_op(HOP_COMPUTE)
-                k = yield load_op(self.key_addr(cur))
+                yield isa.compute(HOP_COMPUTE)
+                k = yield isa.load(self.key_addr(cur))
                 if k >= key:
                     break
                 prev_addr = self.next_addr(cur)
-                cur = yield load_op(prev_addr)
+                cur = yield isa.load(prev_addr)
             found = bool(cur) and k == key
             if op == LOOKUP:
                 results.append(found)
@@ -224,19 +224,19 @@ class UnversionedLinkedList:
                 if found:
                     results.append(False)
                 else:
-                    yield compute_op(ALLOC_COMPUTE)
+                    yield isa.compute(ALLOC_COMPUTE)
                     nid = self.n_nodes
                     self.n_nodes += 1
-                    yield store_op(self.key_addr(nid), key)
-                    yield store_op(self.next_addr(nid), cur)
-                    yield store_op(prev_addr, nid)
+                    yield isa.store(self.key_addr(nid), key)
+                    yield isa.store(self.next_addr(nid), cur)
+                    yield isa.store(prev_addr, nid)
                     results.append(True)
             elif op == DELETE:
                 if not found:
                     results.append(False)
                 else:
-                    nxt = yield load_op(self.next_addr(cur))
-                    yield store_op(prev_addr, nxt)
+                    nxt = yield isa.load(self.next_addr(cur))
+                    yield isa.store(prev_addr, nxt)
                     results.append(True)
             else:
                 raise ConfigError(f"linked list does not support {op!r}")

@@ -31,7 +31,6 @@ from ..ostruct import isa
 from ..runtime.task import Task
 from ..sim.machine import Machine
 from .base import FIRST_TASK_ID, WorkloadRun, run_variant
-from .opgen import compute_op, load_op, store_op
 
 #: ALU cycles per multiply-accumulate step (mul + add + index arithmetic).
 MAC_COMPUTE = 4
@@ -88,9 +87,9 @@ class MatmulWorkload:
         for j in range(n):
             acc = 0
             for k in range(n):
-                av = yield load_op(self.addr(self.a_base, i, k))
-                bv = yield load_op(self.addr(self.b_base, k, j))
-                yield compute_op(MAC_COMPUTE)
+                av = yield isa.load(self.addr(self.a_base, i, k))
+                bv = yield isa.load(self.addr(self.b_base, k, j))
+                yield isa.compute(MAC_COMPUTE)
                 acc += av * bv
             yield isa.store_version(self.addr(self.t_base, i, j), 1, acc)
 
@@ -107,8 +106,8 @@ class MatmulWorkload:
             acc = 0
             for k in range(n):
                 tv = yield isa.load_version(self.addr(self.t_base, i, k), 1)
-                cv = yield load_op(self.addr(self.c_base, k, j))
-                yield compute_op(MAC_COMPUTE)
+                cv = yield isa.load(self.addr(self.c_base, k, j))
+                yield isa.compute(MAC_COMPUTE)
                 acc += tv * cv
             yield isa.store_version(self.addr(self.r_base, i, j), 1, acc)
         return None
@@ -121,20 +120,20 @@ class MatmulWorkload:
             for j in range(n):
                 acc = 0
                 for k in range(n):
-                    av = yield load_op(self.addr(self.a_base, i, k))
-                    bv = yield load_op(self.addr(self.b_base, k, j))
-                    yield compute_op(MAC_COMPUTE)
+                    av = yield isa.load(self.addr(self.a_base, i, k))
+                    bv = yield isa.load(self.addr(self.b_base, k, j))
+                    yield isa.compute(MAC_COMPUTE)
                     acc += av * bv
-                yield store_op(self.addr(self.t_base, i, j), acc)
+                yield isa.store(self.addr(self.t_base, i, j), acc)
         for i in range(n):
             for j in range(n):
                 acc = 0
                 for k in range(n):
-                    tv = yield load_op(self.addr(self.t_base, i, k))
-                    cv = yield load_op(self.addr(self.c_base, k, j))
-                    yield compute_op(MAC_COMPUTE)
+                    tv = yield isa.load(self.addr(self.t_base, i, k))
+                    cv = yield isa.load(self.addr(self.c_base, k, j))
+                    yield isa.compute(MAC_COMPUTE)
                     acc += tv * cv
-                yield store_op(self.addr(self.r_base, i, j), acc)
+                yield isa.store(self.addr(self.r_base, i, j), acc)
 
     # -- inspection ----------------------------------------------------------------
 

@@ -20,72 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..ostruct import isa
 
 #: Operation names used across workloads.
 LOOKUP = "lookup"
 INSERT = "insert"
 DELETE = "delete"
 SCAN = "scan"
-
-
-# -- interned micro-op singletons ------------------------------------------
-#
-# The workload generators sit on the simulator's hottest path: every
-# structure hop yields a ``compute`` burst and a handful of loads/stores,
-# and building a fresh tuple per yield is pure allocator churn — the op
-# shapes repeat endlessly (the same small compute counts, the same node
-# field addresses).  These constructors return module-level singletons
-# instead.  Interning is invisible to the simulation: the tuples are
-# equal element-for-element to what :mod:`repro.ostruct.isa` builds, only
-# object identity is shared.
-
-#: Largest ``n`` with a pre-built ``(compute, n)`` singleton; covers every
-#: static burst the workloads emit (hop/alloc/cell costs are all < 64).
-_COMPUTE_INTERN_MAX = 64
-_COMPUTE_OPS = tuple((isa.COMPUTE, n) for n in range(_COMPUTE_INTERN_MAX + 1))
-
-#: Address-keyed intern tables for repeated load / store-of-small-int
-#: shapes, bounded so pathological address streams cannot grow them
-#: without limit (beyond the bound we just allocate, as before).
-_ADDR_INTERN_LIMIT = 1 << 16
-_LOAD_OPS: dict[int, tuple] = {}
-_STORE_OPS: dict[tuple, tuple] = {}
-
-
-def compute_op(n: int) -> tuple:
-    """Interned ``(compute, n)``; allocates only for unusually large n."""
-    if 0 <= n <= _COMPUTE_INTERN_MAX:
-        return _COMPUTE_OPS[n]
-    return (isa.COMPUTE, n)
-
-
-def load_op(addr: int) -> tuple:
-    """Interned conventional load of ``addr``."""
-    op = _LOAD_OPS.get(addr)
-    if op is None:
-        op = (isa.LOAD, addr)
-        if len(_LOAD_OPS) < _ADDR_INTERN_LIMIT:
-            _LOAD_OPS[addr] = op
-    return op
-
-
-def store_op(addr: int, value) -> tuple:
-    """Conventional store; interned when the value is a small int.
-
-    Only exact small ``int`` values are interned (node ids, keys, null
-    links) so the cached tuple carries an object equal *and identical in
-    type* to the caller's value; anything else allocates as before.
-    """
-    if value.__class__ is int and 0 <= value < 4096:
-        key = (addr, value)
-        op = _STORE_OPS.get(key)
-        if op is None:
-            op = (isa.STORE, addr, value)
-            if len(_STORE_OPS) < _ADDR_INTERN_LIMIT:
-                _STORE_OPS[key] = op
-        return op
-    return (isa.STORE, addr, value)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .base import (
     run_variant,
 )
 from .linked_list import ALLOC_COMPUTE
-from .opgen import DELETE, INSERT, LOOKUP, compute_op, load_op, store_op
+from .opgen import DELETE, INSERT, LOOKUP
 
 RED = True
 BLACK = False
@@ -103,7 +103,7 @@ class _RBEngine:
         y = yield from self._read((x, a))
         beta = yield from self._read((y, b))
         yield from self._write((x, a), beta)
-        yield compute_op(META_COMPUTE)
+        yield isa.compute(META_COMPUTE)
         if beta:
             self.parent[beta] = x
         yield from self._replace_child(self.parent[x], x, y)
@@ -119,7 +119,7 @@ class _RBEngine:
         cur = yield from self._read("root")
         go_right = False
         while cur:
-            yield compute_op(HOP_COMPUTE)
+            yield isa.compute(HOP_COMPUTE)
             k = yield from self._key(cur)
             if k == key:
                 return False
@@ -138,7 +138,7 @@ class _RBEngine:
 
     def _insert_fixup(self, z: int) -> Generator:
         while self.color[self.parent[z]] is RED:
-            yield compute_op(META_COMPUTE)
+            yield isa.compute(META_COMPUTE)
             p = self.parent[z]
             g = self.parent[p]
             p_is_left = (yield from self._read((g, "l"))) == p
@@ -167,7 +167,7 @@ class _RBEngine:
         """Returns True if the key was found and removed."""
         z = yield from self._read("root")
         while z:
-            yield compute_op(HOP_COMPUTE)
+            yield isa.compute(HOP_COMPUTE)
             k = yield from self._key(z)
             if k == key:
                 break
@@ -190,7 +190,7 @@ class _RBEngine:
             y = zr
             while True:
                 nxt = yield from self._read((y, "l"))
-                yield compute_op(HOP_COMPUTE)
+                yield isa.compute(HOP_COMPUTE)
                 if nxt == 0:
                     break
                 y = nxt
@@ -217,7 +217,7 @@ class _RBEngine:
     def _delete_fixup(self, x: int) -> Generator:
         root = yield from self._read("root")
         while x != root and self.color[x] is BLACK:
-            yield compute_op(META_COMPUTE)
+            yield isa.compute(META_COMPUTE)
             p = self.parent[x]
             x_is_left = (yield from self._read((p, "l"))) == x
             a = "r" if x_is_left else "l"  # sibling side
@@ -349,27 +349,27 @@ class VersionedRBTree(_RBEngine):
     def _read(self, field) -> Generator:
         vaddr = self._field_vaddr(field)
         if self._overlay is not None and vaddr in self._overlay:
-            yield compute_op(META_COMPUTE)  # store-buffer forwarding
+            yield isa.compute(META_COMPUTE)  # store-buffer forwarding
             return self._overlay[vaddr]
         _, value = yield isa.load_latest(vaddr, self._tid)
         return value
 
     def _write(self, field, value: int) -> Generator:
         assert self._overlay is not None, "writes only inside a writer task"
-        yield compute_op(META_COMPUTE)
+        yield isa.compute(META_COMPUTE)
         self._overlay[self._field_vaddr(field)] = value
 
     def _alloc(self, key: int) -> Generator:
-        yield compute_op(ALLOC_COMPUTE)
+        yield isa.compute(ALLOC_COMPUTE)
         nid = self._alloc_node_functional(key)
-        yield store_op(self.key_addr(nid), key)
+        yield isa.store(self.key_addr(nid), key)
         # Fresh children start null; commit writes them as version tid.
         self._overlay[self.left_vaddr(nid)] = 0
         self._overlay[self.right_vaddr(nid)] = 0
         return nid
 
     def _key(self, nid: int) -> Generator:
-        k = yield load_op(self.key_addr(nid))
+        k = yield isa.load(self.key_addr(nid))
         return k
 
     # -- writer tasks -------------------------------------------------------------
@@ -403,8 +403,8 @@ class VersionedRBTree(_RBEngine):
             yield isa.load_version(self.ticket_addr, entry[1])
         _, cur = yield isa.load_latest(self.root_addr, tid)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 return True
             vaddr = self.right_vaddr(cur) if key > k else self.left_vaddr(cur)
@@ -491,35 +491,35 @@ class UnversionedRBTree(_RBEngine):
         return self.left_addr(nid) if side == "l" else self.right_addr(nid)
 
     def _read(self, field) -> Generator:
-        value = yield load_op(self._field_addr(field))
+        value = yield isa.load(self._field_addr(field))
         return value
 
     def _write(self, field, value: int) -> Generator:
-        yield store_op(self._field_addr(field), value)
+        yield isa.store(self._field_addr(field), value)
 
     def _alloc(self, key: int) -> Generator:
-        yield compute_op(ALLOC_COMPUTE)
+        yield isa.compute(ALLOC_COMPUTE)
         nid = self.n_nodes
         if nid >= self.capacity:
             raise ConfigError("node pool exhausted")
         self.n_nodes += 1
-        yield store_op(self.key_addr(nid), key)
-        yield store_op(self.left_addr(nid), 0)
-        yield store_op(self.right_addr(nid), 0)
+        yield isa.store(self.key_addr(nid), key)
+        yield isa.store(self.left_addr(nid), 0)
+        yield isa.store(self.right_addr(nid), 0)
         return nid
 
     def _key(self, nid: int) -> Generator:
-        k = yield load_op(self.key_addr(nid))
+        k = yield isa.load(self.key_addr(nid))
         return k
 
     def lookup(self, key: int) -> Generator:
-        cur = yield load_op(self.root_addr)
+        cur = yield isa.load(self.root_addr)
         while cur:
-            yield compute_op(HOP_COMPUTE)
-            k = yield load_op(self.key_addr(cur))
+            yield isa.compute(HOP_COMPUTE)
+            k = yield isa.load(self.key_addr(cur))
             if k == key:
                 return True
-            cur = yield load_op(self.right_addr(cur) if key > k else self.left_addr(cur))
+            cur = yield isa.load(self.right_addr(cur) if key > k else self.left_addr(cur))
         return False
 
     def program(self, ops: list[tuple[str, int, int]]) -> Generator:

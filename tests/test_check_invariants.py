@@ -100,16 +100,6 @@ class TestCorruptions:
         m.manager._block_index[0].pop(addr >> 6)
         assert any("block index" in p for p in check_invariants(m))
 
-    def test_detached_memo(self, m):
-        addr = primed(m)
-        mgr = m.manager
-        assert mgr._memo_core >= 0
-        # Replace the table entry while the memo keeps the old object.
-        from repro.ostruct.manager import _DirectEntry
-
-        mgr._direct[mgr._memo_core][mgr._memo_vaddr] = _DirectEntry()
-        assert any("memo" in p for p in check_invariants(m))
-
     def test_gc_entry_paddr_freed(self, m):
         primed(m)
         assert m.gc.shadowed_count == 2

@@ -26,7 +26,6 @@ from repro.faults.spec import random_plan
 from repro.ostruct import isa
 from repro.recovery import RecoveryPolicy
 from repro.runtime.task import OpTrace
-from repro.sim import fuse
 from repro.sim.machine import add_machine_observer, remove_machine_observer
 from repro.sim.trace import Tracer
 from repro.workloads import linked_list
@@ -187,21 +186,8 @@ class TestFusionMachinery:
 
     def test_unfused_machine_runs_no_blocks(self):
         m = self._caught_machine(TABLE2.with_fused(False))
-        assert m.fused_enabled is False
         assert all(v == 0 for v in m.fuse_stats.as_dict().values())
         assert all(core._run_block is None for core in m.cores)
-
-    def test_env_hatch_disables_fusion(self, monkeypatch):
-        for raw in ("0", "false", "OFF", " no "):
-            monkeypatch.setenv("REPRO_FUSED", raw)
-            assert fuse.env_enabled() is False
-        for raw in ("", "1", "yes"):
-            monkeypatch.setenv("REPRO_FUSED", raw)
-            assert fuse.env_enabled() is True
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        m = Machine(MachineConfig(num_cores=1))
-        assert m.fused_enabled is False
-        assert m.cores[0]._run_block is None
 
     def test_optrace_body_replays_and_fuses(self):
         ops = [

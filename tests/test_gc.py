@@ -314,11 +314,11 @@ class TestFreeInteraction:
 
 
 class TestMemoSafety:
-    """The (core, vaddr) lookup memo must never serve a reclaimed entry."""
+    """A core's compressed line must never serve a reclaimed or freed block."""
 
     def test_reclaimed_version_not_served_from_memo(self, rig):
         stored(rig, 3)
-        # Prime the memo and compressed line with v1 on core 0.
+        # Prime core 0's compressed line with v1.
         assert rig.manager.load_version(0, rig.addr, 1)[1] == 1
         rig.gc.start_phase()  # reclaims v1 and v2
         assert rig.stats.gc_reclaimed == 2
@@ -335,7 +335,7 @@ class TestMemoSafety:
         stored(rig, 2)
         assert rig.manager.load_version(0, rig.addr, 1)[1] == 1
         rig.manager.free_ostructure(rig.addr)
-        # Same vaddr, new structure: the old memo entry must not leak
-        # the freed block's value.
+        # Same vaddr, new structure: core 0's old compressed line must
+        # not leak the freed block's value.
         rig.manager.store_version(0, rig.addr, 1, "fresh")
         assert rig.manager.load_version(0, rig.addr, 1)[1] == "fresh"

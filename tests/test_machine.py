@@ -244,6 +244,13 @@ class TestTaskManagement:
         with pytest.raises(SimulationError):
             uni_machine.run()
 
+    def test_undeclared_attribute_rejected(self, uni_machine):
+        # Every machine attribute is declared in __slots__; a typo'd or
+        # ad-hoc attribute fails instead of silently attaching.
+        with pytest.raises(AttributeError):
+            uni_machine.checkpointr = None
+        uni_machine.checkpointer = None
+
     def test_max_cycles_stops_early_without_deadlock_error(self):
         m = Machine(MachineConfig(num_cores=1))
 

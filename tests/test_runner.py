@@ -174,18 +174,6 @@ class TestCache:
         cache = ResultCache(tmp_path)
         assert cache.path_for(base) != cache.path_for(hatch)
 
-    def test_cache_namespace_depends_on_fused_env_hatch(self, tmp_path, monkeypatch):
-        plain = SweepRunner(cache_dir=tmp_path / "a", jobs=1)
-        assert plain.cache.version == code_version()
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        hatch = SweepRunner(cache_dir=tmp_path / "b", jobs=1)
-        assert hatch.cache.version == f"{code_version()}-nofuse"
-        # Composes with the checkpoint-cadence namespace.
-        both = SweepRunner(
-            cache_dir=tmp_path / "c", jobs=1, checkpoint_every=16
-        )
-        assert both.cache.version == f"{code_version()}-ckpt16-nofuse"
-
     def test_duplicate_specs_simulated_once(self):
         spec = _fig6_slice(TINY)[0]
         runner = SweepRunner(jobs=1, use_cache=False)

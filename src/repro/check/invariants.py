@@ -80,35 +80,24 @@ def _check_compressed_lines(machine: "Machine") -> list[str]:
     problems = []
     mgr = machine.manager
     for core_id, direct in enumerate(mgr._direct):
-        for vaddr, entry in direct.items():
-            line_versions = set(entry.line.versions())
-            if set(entry.blocks) != line_versions:
-                problems.append(
-                    f"core {core_id} compressed line 0x{vaddr:x}: encoded "
-                    f"versions {sorted(line_versions)} != block refs "
-                    f"{sorted(entry.blocks)}"
-                )
-            if vaddr not in mgr._block_index[core_id].get(vaddr >> 6, ()):
-                problems.append(
-                    f"core {core_id} compressed line 0x{vaddr:x} missing "
-                    f"from the L1 block index (evictions won't discard it)"
-                )
-            lst = mgr.lists.get(vaddr)
-            for version, block in entry.blocks.items():
-                if lst is None:
-                    problems.append(
-                        f"core {core_id} compressed entry v{version}"
-                        f"@0x{vaddr:x} outlives its freed O-structure"
-                    )
-                    continue
-                linked, _ = lst.find_exact(version)
-                if linked is not block:
-                    state = "reclaimed" if linked is None else "replaced"
-                    problems.append(
-                        f"core {core_id} compressed entry v{version}"
-                        f"@0x{vaddr:x} is {state}: the cached block is not "
-                        f"the one linked into the version list"
-                    )
+        for lines in direct.values():
+            for vaddr, line in lines.items():
+                lst = mgr.lists.get(vaddr)
+                for version, block in line._blocks.items():
+                    if lst is None:
+                        problems.append(
+                            f"core {core_id} compressed entry v{version}"
+                            f"@0x{vaddr:x} outlives its freed O-structure"
+                        )
+                        continue
+                    linked, _ = lst.find_exact(version)
+                    if linked is not block:
+                        state = "reclaimed" if linked is None else "replaced"
+                        problems.append(
+                            f"core {core_id} compressed entry v{version}"
+                            f"@0x{vaddr:x} is {state}: the cached block is "
+                            f"not the one linked into the version list"
+                        )
     return problems
 
 

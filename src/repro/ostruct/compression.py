@@ -14,10 +14,12 @@ imposes is on the *range* of versions and lockers within one line: all must
 fall within ``[base << 14, (base << 14) + 2**14)``.
 
 This module provides both the behavioural representation the O-structure
-manager uses (:class:`CompressedLine`: up to 8 entries with internal LRU
-and the range restriction) and a bit-exact :meth:`CompressedLine.encode` /
-:meth:`CompressedLine.decode` pair that packs the line into a 512-bit
-integer, demonstrating the layout actually fits.
+manager uses (:class:`CompressedLine`: up to 8 :class:`VersionBlock` refs
+with internal LRU and the range restriction) and a bit-exact
+:meth:`CompressedLine.encode` / :meth:`CompressedLine.decode` pair that
+packs the line into a 512-bit integer, demonstrating the layout actually
+fits.  The line holds the very blocks linked into the version list, so a
+direct hit returns the block and ``encode`` reads data and locker from it.
 
 Encoding conventions (the paper leaves these to the implementation):
 offset ``0x3FFF`` in the version-offset field marks an invalid (empty)
@@ -27,9 +29,8 @@ sentinels shrink the representable offset range to ``[0, 2**14 - 2]``.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import SimulationError
+from .version_block import VersionBlock
 
 VERSION_BASE_BITS = 18
 LINE_OFFSET_BITS = 4
@@ -54,10 +55,11 @@ RANGE = 1 << VERSION_OFFSET_BITS
 class CompressedLine:
     """Behavioural model of one compressed version-block line.
 
-    Holds up to :data:`ENTRIES_PER_LINE` ``version -> (value, locked_by)``
-    entries subject to the base-range restriction.  ``value`` must fit the
-    32-bit data field for :meth:`encode`; the behavioural model accepts any
-    value (the manager stores simulated pointers, which fit).
+    Holds up to :data:`ENTRIES_PER_LINE` ``version -> VersionBlock``
+    entries subject to the base-range restriction, which :meth:`put`
+    applies to the block's version and locker.  A block's ``value`` must
+    fit the 32-bit data field for :meth:`encode`; the behavioural model
+    accepts any value (the manager stores simulated pointers, which fit).
 
     Because the base is the upper bits of the lowest value, a set of
     versions and lockers fits one line exactly when every value lies in
@@ -66,46 +68,47 @@ class CompressedLine:
     and the range check is a comparison against ``base``, not a scan.
     """
 
-    __slots__ = ("base", "line_offset", "_entries", "_lru", "_tick")
+    __slots__ = ("base", "line_offset", "_blocks", "_lru", "_tick")
 
     def __init__(self, line_offset: int = 0):
         if not 0 <= line_offset < (1 << LINE_OFFSET_BITS):
             raise SimulationError("line offset must fit 4 bits")
         self.base = 0
         self.line_offset = line_offset
-        self._entries: dict[int, tuple[Any, int | None]] = {}
+        self._blocks: dict[int, VersionBlock] = {}
         self._lru: dict[int, int] = {}
         self._tick = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._blocks)
 
     def __contains__(self, version: int) -> bool:
-        return version in self._entries
+        return version in self._blocks
 
     def versions(self) -> list[int]:
-        return sorted(self._entries)
+        return sorted(self._blocks)
 
     @property
     def window_start(self) -> int:
         return self.base << VERSION_OFFSET_BITS
 
-    def get(self, version: int) -> tuple[Any, int | None] | None:
+    def get(self, version: int) -> VersionBlock | None:
         """Direct-access hit check; refreshes internal LRU on a hit."""
-        e = self._entries.get(version)
-        if e is not None:
+        block = self._blocks.get(version)
+        if block is not None:
             self._tick += 1
             self._lru[version] = self._tick
-        return e
+        return block
 
-    def put(self, version: int, value: Any, locked_by: int | None) -> bool:
-        """Insert or update an entry; returns False if it cannot be cached.
+    def put(self, block: VersionBlock) -> bool:
+        """Insert or update a block's entry; False if it cannot be cached.
 
         Evicts the least-recently-used entry when the line is full, and
-        every resident when the new entry lies in another window.  An
-        entry whose own version/locker pair does not fit one window is
+        every resident when the new entry lies in another window.  A
+        block whose own version/locker pair does not fit one window is
         rejected outright.
         """
+        version, locked_by = block.version, block.locked_by
         window = version >> VERSION_OFFSET_BITS
         if (
             window >= 1 << VERSION_BASE_BITS
@@ -118,29 +121,29 @@ class CompressedLine:
         ):
             return False
 
-        entries = self._entries
+        blocks = self._blocks
         if window != self.base:
             # Every resident lies in the old window: none can share a
             # base with the new entry.
-            entries.clear()
+            blocks.clear()
             self._lru.clear()
             self.base = window
-        elif version not in entries:
-            while len(entries) >= ENTRIES_PER_LINE:
+        elif version not in blocks:
+            while len(blocks) >= ENTRIES_PER_LINE:
                 self._evict_lru()
-        entries[version] = (value, locked_by)
+        blocks[version] = block
         self._tick += 1
         self._lru[version] = self._tick
         return True
 
     def _evict_lru(self) -> None:
         victim = min(self._lru, key=self._lru.__getitem__)
-        del self._entries[victim]
+        del self._blocks[victim]
         del self._lru[victim]
 
     def drop(self, version: int) -> None:
         """Remove one entry (e.g. its version block was reclaimed)."""
-        self._entries.pop(version, None)
+        self._blocks.pop(version, None)
         self._lru.pop(version, None)
 
     # -- bit-exact packing ----------------------------------------------------
@@ -155,10 +158,11 @@ class CompressedLine:
         lo = self.window_start
         word = self.base | (self.line_offset << VERSION_BASE_BITS)
         shift = VERSION_BASE_BITS + LINE_OFFSET_BITS
-        slots = sorted(self._entries.items())[:ENTRIES_PER_LINE]
+        slots = sorted(self._blocks.items())[:ENTRIES_PER_LINE]
         for i in range(ENTRIES_PER_LINE):
             if i < len(slots):
-                version, (value, locked_by) = slots[i]
+                version, block = slots[i]
+                value, locked_by = block.value, block.locked_by
                 if not isinstance(value, int) or not 0 <= value < (1 << DATA_BITS):
                     raise SimulationError(
                         f"value {value!r} does not fit the 32-bit data field"
@@ -178,7 +182,11 @@ class CompressedLine:
 
     @classmethod
     def decode(cls, word: int) -> "CompressedLine":
-        """Inverse of :meth:`encode`."""
+        """Inverse of :meth:`encode`.
+
+        The image carries no physical addresses, so each entry comes back
+        as a fresh :class:`VersionBlock` with ``paddr=0``.
+        """
         mask = lambda bits: (1 << bits) - 1  # noqa: E731
         line = cls(line_offset=(word >> VERSION_BASE_BITS) & mask(LINE_OFFSET_BITS))
         line.base = word & mask(VERSION_BASE_BITS)
@@ -192,8 +200,10 @@ class CompressedLine:
             loff = (entry >> (DATA_BITS + VERSION_OFFSET_BITS)) & mask(LOCK_OFFSET_BITS)
             if voff == INVALID_OFFSET:
                 continue
-            locked_by = None if loff == UNLOCKED_OFFSET else lo + loff
-            line._entries[lo + voff] = (value, locked_by)
+            block = VersionBlock(lo + voff, value, 0)
+            if loff != UNLOCKED_OFFSET:
+                block.locked_by = lo + loff
+            line._blocks[lo + voff] = block
             line._tick += 1
             line._lru[lo + voff] = line._tick
         return line

@@ -7,15 +7,21 @@ version store coherent by construction).
 
 Lookup proceeds exactly as in Section III-A:
 
-1. **Direct access** — if the requesting core's L1 holds the compressed
-   version-block line for the address and the wanted version is among its
-   (up to eight) entries, the access completes in one L1 hit.
-2. **Full lookup** — otherwise the version-block list is walked from its
-   head.  Each visited block charges one hierarchy access; with pollution
-   avoidance enabled, traversed blocks are *not* installed in the caches —
-   only the block holding the requested version is, and it is also added
-   to the compressed line (selective caching of versions accessed during
-   full lookups).
+1. **Direct access** — every lookup charges one access to the address's
+   root line.  If it hits the requesting core's L1 and the compressed
+   version-block line there holds the wanted version among its (up to
+   eight) entries, the lookup is complete.
+2. **Full lookup** — otherwise that access was the root-pointer read and
+   the version-block list is walked from its head.  Each visited block
+   charges one hierarchy access; with pollution avoidance enabled,
+   traversed blocks are *not* installed in the caches — only the block
+   holding the requested version is, and it is also added to the
+   compressed line (selective caching of versions accessed during full
+   lookups).
+
+Each core keeps its compressed lines in one map keyed by root L1 block,
+``_direct[core][block][vaddr]``; a line holds the very version blocks
+linked into the list, and an L1 eviction drops a block's lines in one pop.
 
 Blocking semantics (uncreated or locked versions) are delivered to the
 core as :class:`StallSignal`; the core registers a waiter and retries when
@@ -95,38 +101,6 @@ class StallSignal(Exception):
 _OP_ERRORS = (StallSignal, VersionExistsError, NotLockedError, ProtectionFault)
 
 
-class _DirectEntry:
-    """Per-(core, address) compressed line plus the block refs it shadows."""
-
-    __slots__ = ("line", "blocks")
-
-    def __init__(self) -> None:
-        self.line = CompressedLine()
-        self.blocks: dict[int, VersionBlock] = {}
-
-    def put(self, block: VersionBlock) -> bool:
-        line = self.line
-        ok = line.put(block.version, block.value, block.locked_by)
-        if ok:
-            blocks = self.blocks
-            blocks[block.version] = block
-            # The line may have evicted entries to honour capacity/range;
-            # it only ever loses versions, so equal sizes mean equal sets.
-            if len(blocks) != len(line):
-                for v in [v for v in blocks if v not in line]:
-                    del blocks[v]
-        return ok
-
-    def get(self, version: int) -> VersionBlock | None:
-        if self.line.get(version) is None:
-            return None
-        return self.blocks.get(version)
-
-    def drop(self, version: int) -> None:
-        self.line.drop(version)
-        self.blocks.pop(version, None)
-
-
 class OStructureManager:
     """Implements the seven versioned-memory operations of Section II-A."""
 
@@ -143,7 +117,6 @@ class OStructureManager:
         "ticks",
         "lists",
         "_direct",
-        "_block_index",
         "_waiters",
         "roots",
         "_created",
@@ -181,12 +154,8 @@ class OStructureManager:
         self.metrics = None
         #: vaddr -> version list (the functional version store).
         self.lists: dict[int, VersionList] = {}
-        #: Per-core compressed-line state: vaddr -> _DirectEntry.
-        self._direct: list[dict[int, _DirectEntry]] = [
-            {} for _ in range(config.num_cores)
-        ]
-        #: Per-core reverse index: L1 block number -> vaddrs cached there.
-        self._block_index: list[dict[int, set[int]]] = [
+        #: Per-core compressed lines: root L1 block -> {vaddr: line}.
+        self._direct: list[dict[int, dict[int, CompressedLine]]] = [
             {} for _ in range(config.num_cores)
         ]
         #: vaddr -> callbacks waiting for a store/unlock at that address.
@@ -211,16 +180,18 @@ class OStructureManager:
 
     def _on_l1_evict(self, core_id: int, block: int) -> None:
         """Discard the compressed lines an evicted L1 block carried."""
-        vaddrs = self._block_index[core_id].pop(block, None)
-        if vaddrs:
-            for vaddr in vaddrs:
-                self._direct[core_id].pop(vaddr, None)
+        self._direct[core_id].pop(block, None)
+
+    def _uncache(self, vaddr: int, version: int) -> None:
+        """Drop one version from every core's compressed line for ``vaddr``."""
+        block = vaddr >> 6
+        for core_direct in self._direct:
+            lines = core_direct.get(block)
+            if lines is not None and vaddr in lines:
+                lines[vaddr].drop(version)
 
     def _on_reclaim(self, vaddr: int, version: int) -> None:
-        for core_direct in self._direct:
-            entry = core_direct.get(vaddr)
-            if entry is not None:
-                entry.drop(version)
+        self._uncache(vaddr, version)
         # A reclaimed block is a free block: backpressured cores retry.
         if self._waiters.get(ALLOC_WAIT):
             self._notify(ALLOC_WAIT)
@@ -237,43 +208,16 @@ class OStructureManager:
         if not self.config.compression_enabled:
             return
         direct = self._direct[core_id]
-        entry = direct.get(vaddr)
-        if entry is None:
-            entry = _DirectEntry()
-            direct[vaddr] = entry
-            self._block_index[core_id].setdefault(vaddr >> 6, set()).add(vaddr)
-        entry.put(block)
+        lines = direct.get(vaddr >> 6)
+        if lines is None:
+            lines = direct[vaddr >> 6] = {}
+        line = lines.get(vaddr)
+        if line is None:
+            line = lines[vaddr] = CompressedLine()
+        line.put(block)
         metrics = self.metrics
         if metrics is not None:
-            metrics.line_occupancy.observe(len(entry.line))
-
-    def _direct_lookup(
-        self, core_id: int, vaddr: int, version: int | None, cap: int | None
-    ) -> VersionBlock | None:
-        """Try the single-L1-access direct path.
-
-        ``version`` requests an exact id.  ``cap`` requests the latest
-        version <= cap, which the compressed line can only answer safely
-        when it holds either version ``cap`` itself or the list's global
-        head (the overall latest version) at or below the cap.
-        """
-        if not self.config.compression_enabled:
-            return None
-        if not self.hierarchy.l1s[core_id].contains(vaddr >> 6):
-            return None
-        entry = self._direct[core_id].get(vaddr)
-        if entry is None:
-            return None
-        if version is not None:
-            return entry.get(version)
-        assert cap is not None
-        exact = entry.get(cap)
-        if exact is not None:
-            return exact
-        lst = self.lists.get(vaddr)
-        if lst is not None and lst.head is not None and lst.head.version <= cap:
-            return entry.get(lst.head.version)
-        return None
+            metrics.line_occupancy.observe(len(line))
 
     # ------------------------------------------------------------------
     # Waiter queues.
@@ -441,12 +385,11 @@ class OStructureManager:
         version: int | None = None,
         cap: int | None = None,
     ) -> tuple[int, VersionBlock | None]:
-        """Walk the version-block list; returns (latency, block_or_None)."""
+        """Walk the list past the root :meth:`_locate` charged; (lat, block)."""
         self.stats.full_lookups += 1
-        lat = self.hierarchy.access(core_id, vaddr)  # root pointer
         lst = self.lists.get(vaddr)
         if lst is None or lst.head is None:
-            return lat, None
+            return 0, None
         self.check_head(lst.head)
         if version is not None:
             block, visited = lst.find_exact(version)
@@ -457,7 +400,7 @@ class OStructureManager:
         metrics = self.metrics
         if metrics is not None:
             metrics.walk_length.observe(visited)
-        lat += self._walk_cost(core_id, lst, visited, block)
+        lat = self._walk_cost(core_id, lst, visited, block)
         if block is not None:
             self._cache_version(core_id, vaddr, block)
         return lat, block
@@ -469,19 +412,39 @@ class OStructureManager:
         *,
         version: int | None = None,
         cap: int | None = None,
-    ) -> tuple[int, VersionBlock | None, bool]:
-        """Direct access with full-lookup fallback.
+    ) -> tuple[int, VersionBlock | None]:
+        """Direct access with full-lookup fallback; ``(latency, block)``.
 
-        Returns ``(latency, block_or_None, was_direct)``.
+        The root-line access is charged either way: the direct hit's L1
+        read of the compressed line, or a full lookup's root-pointer read.
+        The line may answer only if that access hit the L1 (``access``
+        counts ``l1_hits`` exactly then).  ``version`` requests an exact
+        id.  ``cap`` requests the latest version <= cap, which the line
+        can only answer safely when it holds version ``cap`` itself or
+        the list's global head (the overall latest version) <= cap.
         """
         self.page_table.check_versioned(vaddr)
-        block = self._direct_lookup(core_id, vaddr, version, cap)
-        if block is not None:
-            self.stats.direct_hits += 1
-            lat = self.hierarchy.access(core_id, vaddr)  # guaranteed L1 hit
-            return lat, block, True
-        lat, block = self._full_lookup(core_id, vaddr, version=version, cap=cap)
-        return lat, block, False
+        stats = self.stats
+        l1_hits = stats.l1_hits
+        lat = self.hierarchy.access(core_id, vaddr)
+        if stats.l1_hits != l1_hits:
+            lines = self._direct[core_id].get(vaddr >> 6)
+            line = lines.get(vaddr) if lines is not None else None
+            if line is not None:
+                if version is not None:
+                    block = line.get(version)
+                else:
+                    block = line.get(cap)
+                    if block is None:
+                        lst = self.lists.get(vaddr)
+                        head = lst.head if lst is not None else None
+                        if head is not None and head.version <= cap:
+                            block = line.get(head.version)
+                if block is not None:
+                    stats.direct_hits += 1
+                    return lat, block
+        walk_lat, block = self._full_lookup(core_id, vaddr, version=version, cap=cap)
+        return lat + walk_lat, block
 
     # ------------------------------------------------------------------
     # The seven operations.  Each public method runs its ``_``-prefixed
@@ -573,7 +536,7 @@ class OStructureManager:
         return self._unlock_version(core_id, vaddr, version, task_id, new_version)
 
     def _load_version(self, core_id: int, vaddr: int, version: int) -> tuple[int, Any]:
-        lat, block, _ = self._locate(core_id, vaddr, version=version)
+        lat, block = self._locate(core_id, vaddr, version=version)
         if block is None:
             raise StallSignal(vaddr, f"version {version} not yet created")
         if block.locked:
@@ -581,7 +544,7 @@ class OStructureManager:
         return lat + self._extra(), block.value
 
     def _load_latest(self, core_id: int, vaddr: int, cap: int) -> tuple[int, tuple[int, Any]]:
-        lat, block, _ = self._locate(core_id, vaddr, cap=cap)
+        lat, block = self._locate(core_id, vaddr, cap=cap)
         if block is None:
             raise StallSignal(vaddr, f"no version <= {cap} created yet")
         if block.locked:
@@ -665,7 +628,7 @@ class OStructureManager:
     def _lock_load_version(
         self, core_id: int, vaddr: int, version: int, task_id: int
     ) -> tuple[int, Any]:
-        lat, block, _ = self._locate(core_id, vaddr, version=version)
+        lat, block = self._locate(core_id, vaddr, version=version)
         if block is None:
             raise StallSignal(vaddr, f"version {version} not yet created")
         if block.locked:
@@ -675,7 +638,7 @@ class OStructureManager:
     def _lock_load_latest(
         self, core_id: int, vaddr: int, cap: int, task_id: int
     ) -> tuple[int, tuple[int, Any]]:
-        lat, block, _ = self._locate(core_id, vaddr, cap=cap)
+        lat, block = self._locate(core_id, vaddr, cap=cap)
         if block is None:
             raise StallSignal(vaddr, f"no version <= {cap} created yet")
         if block.locked:
@@ -701,7 +664,7 @@ class OStructureManager:
         task_id: int,
         new_version: int | None,
     ) -> tuple[int, None]:
-        lat, block, _ = self._locate(core_id, vaddr, version=version)
+        lat, block = self._locate(core_id, vaddr, version=version)
         if block is None:
             raise NotLockedError(f"version {version} of 0x{vaddr:x} does not exist")
         if block.locked_by != task_id:
@@ -782,10 +745,7 @@ class OStructureManager:
         self.gc.forget_block(block)
         self.free_list.release(block.paddr)
         self.hierarchy.invalidate_everywhere(block.paddr)
-        for core_direct in self._direct:
-            entry = core_direct.get(vaddr)
-            if entry is not None:
-                entry.drop(version)
+        self._uncache(vaddr, version)
         for fn in self.events.drop:
             fn(vaddr, version)
         if self._waiters.get(ALLOC_WAIT):
@@ -838,11 +798,10 @@ class OStructureManager:
         # queues; purge them or a later phase double-releases the paddrs
         # just returned to the free list.
         self.gc.forget_address(vaddr)
-        for core_id in range(self.config.num_cores):
-            self._direct[core_id].pop(vaddr, None)
-            idx = self._block_index[core_id].get(vaddr >> 6)
-            if idx is not None:
-                idx.discard(vaddr)
+        for core_direct in self._direct:
+            lines = core_direct.get(vaddr >> 6)
+            if lines is not None:
+                lines.pop(vaddr, None)
         return count
 
     def blocked_waiter_report(self) -> list[str]:

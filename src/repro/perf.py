@@ -2,8 +2,9 @@
 
 ``python -m repro bench`` runs a fixed basket of deterministic probes —
 the event kernel's wheel and solo paths, the array-backed cache, the
-coherence directory under the full hierarchy, end-to-end QUICK
-workloads and a machine's build-and-teardown — and records each probe's
+coherence directory under the full hierarchy, the manager's list walks
+and direct hits, end-to-end QUICK workloads and a machine's
+build-and-teardown — and records each probe's
 wall-clock and throughput into ``benchmarks/baselines.json``.  ``--compare`` re-runs the basket and
 fails (exit 1) when any probe regressed by more than ``--tolerance``
 (CI runs ``--compare --tolerance 0.25``).
@@ -210,6 +211,32 @@ def _probe_version_walk() -> tuple[int, float]:
     return ops, time.perf_counter() - t0
 
 
+def _probe_direct_line() -> tuple[int, float]:
+    """LOAD-VERSION and capped LOAD-LATEST, all compressed-line hits.
+
+    Eight versions per address fit one line, so no load walks the list.
+    """
+    from .sim.machine import Machine
+
+    m = Machine(TABLE2.with_cores(1))
+    manager, depth, reps = m.manager, 8, 60
+    vaddrs = [m.heap.alloc_versioned(1) for _ in range(64)]
+    for vaddr in vaddrs:
+        for v in range(1, depth + 1):
+            manager.store_version(0, vaddr, v, v * 3)
+    walks = m.stats.full_lookups
+    t0 = time.perf_counter()
+    for _rep in range(reps):
+        for vaddr in vaddrs:
+            for v in range(1, depth + 1):
+                manager.load_version(0, vaddr, v)
+                manager.load_latest(0, vaddr, v)  # exact cap
+                manager.load_latest(0, vaddr, depth + v)  # cap above the head
+    elapsed = time.perf_counter() - t0
+    assert m.stats.full_lookups == walks, "direct_lookup probe fell back to walks"
+    return reps * len(vaddrs) * depth * 3, elapsed
+
+
 def _probe_machine_lifecycle() -> tuple[int, float]:
     """Build a 32-core Table II machine, drop it and collect it.
 
@@ -243,6 +270,7 @@ PROBES: dict[str, tuple[Callable[[], tuple[int, float]], str]] = {
     "end_to_end_quick": (_probe_end_to_end, "cycles"),
     "fused_quick": (_probe_fused_quick, "cycles"),
     "version_walk": (_probe_version_walk, "loads"),
+    "direct_lookup": (_probe_direct_line, "loads"),
     "machine_lifecycle": (_probe_machine_lifecycle, "machines"),
 }
 

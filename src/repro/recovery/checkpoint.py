@@ -105,8 +105,11 @@ def capture_state(machine: "Machine") -> dict[str, Any]:
     }
     compressed = tuple(
         tuple(
-            (vaddr, tuple(sorted(entry.line.versions())))
-            for vaddr, entry in sorted(core_direct.items())
+            sorted(
+                (vaddr, tuple(line.versions()))
+                for lines in core_direct.values()
+                for vaddr, line in lines.items()
+            )
         )
         for core_direct in mgr._direct
     )

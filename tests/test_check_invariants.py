@@ -3,7 +3,7 @@
 Each test seeds one specific corruption into otherwise-healthy machine
 state and asserts ``check_invariants`` names it.  The corruptions mirror
 the real failure modes the checker exists for: stale compressed-line
-entries after a reclaim, double-released paddrs, detached memo, GC
+entries after a reclaim, replaced cached blocks, double-released paddrs, GC
 queue entries outliving their list.
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from repro import Machine, MachineConfig
 from repro.check import check_invariants
+from repro.ostruct.version_block import VersionBlock
 
 
 @pytest.fixture
@@ -80,25 +81,25 @@ class TestCorruptions:
         problems = check_invariants(m)
         assert any("reclaimed" in p for p in problems)
 
+    def test_replaced_compressed_entry(self, m):
+        # A line caching a different block than the one linked under the
+        # same version would serve a value the list no longer holds.
+        addr = primed(m)
+        line = m.manager._direct[0][addr >> 6][addr]
+        impostor = VersionBlock(2, "forged", 0)
+        line.put(impostor)
+        assert line.get(2) is impostor
+        problems = check_invariants(m)
+        assert any("v2" in p and "replaced" in p for p in problems)
+
     def test_compressed_entry_outlives_free(self, m):
         addr = primed(m)
         # Free behind the compressed caches' back.
-        entries = [dict(d) for d in m.manager._direct]
+        lines = m.manager._direct[0][addr >> 6]
+        saved = dict(lines)
         m.manager.free_ostructure(addr)
-        for d, saved in zip(m.manager._direct, entries):
-            d.update(saved)
+        lines.update(saved)
         assert any("outlives" in p for p in check_invariants(m))
-
-    def test_line_blocks_mismatch(self, m):
-        addr = primed(m)
-        entry = m.manager._direct[0][addr]
-        entry.blocks.pop(next(iter(entry.blocks)))
-        assert any("encoded" in p for p in check_invariants(m))
-
-    def test_block_index_desync(self, m):
-        addr = primed(m)
-        m.manager._block_index[0].pop(addr >> 6)
-        assert any("block index" in p for p in check_invariants(m))
 
     def test_gc_entry_paddr_freed(self, m):
         primed(m)

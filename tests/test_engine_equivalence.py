@@ -20,6 +20,17 @@ The basket deliberately covers every kernel path:
 - a regular (matmul) run — long compute delays that overflow the wheel
   into the far-future heap tier.
 
+Those four keys were generated on the heapq kernel.  Three more keys pin
+the manager branches the Table II config never takes, and were recorded
+at commit 2293b84 (before compressed lines began holding block refs):
+
+- ``rb_tree-...-nocompress`` — ``compression_enabled=False``, so every
+  versioned access is a full lookup;
+- ``binary_tree-...-nopollution`` — ``pollution_avoidance=False``, so
+  traversed blocks install into the caches;
+- ``linked_list-...-l1dm1k`` — a 1 KB direct-mapped L1, where the
+  manager's own accesses evict root lines and compressed lines churn.
+
 Regenerate (only when *workload semantics* legitimately change — never to
 paper over a kernel ordering bug)::
 
@@ -29,11 +40,12 @@ paper over a kernel ordering bug)::
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.config import TABLE2
+from repro.config import TABLE2, CacheConfig
 from repro.harness.presets import QUICK
 from repro.harness.runner import make_spec
 from repro.harness.sweeps import execute, irregular_spec, regular_spec
@@ -53,6 +65,19 @@ GOLDEN_SPECS = {
     ),
     "matmul-small-versioned-4c": regular_spec(
         "matmul", TABLE2, QUICK, "small", "versioned", 4
+    ),
+    "rb_tree-large-1R1W-versioned-8c-nocompress": irregular_spec(
+        "rb_tree", replace(TABLE2, compression_enabled=False), QUICK,
+        "large", "1R-1W", "versioned", 8,
+    ),
+    "binary_tree-large-1R1W-versioned-8c-nopollution": irregular_spec(
+        "binary_tree", replace(TABLE2, pollution_avoidance=False), QUICK,
+        "large", "1R-1W", "versioned", 8,
+    ),
+    "linked_list-large-1R1W-versioned-8c-l1dm1k": irregular_spec(
+        "linked_list",
+        replace(TABLE2, l1=CacheConfig(size_bytes=1024, ways=1, hit_latency=4)),
+        QUICK, "large", "1R-1W", "versioned", 8,
     ),
 }
 

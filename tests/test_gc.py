@@ -110,9 +110,8 @@ class TestPhases:
         stored(rig, 3)
         rig.manager.load_version(0, rig.addr, 1)  # caches version 1
         rig.gc.start_phase()
-        entry = rig.manager._direct[0].get(rig.addr)
-        if entry is not None:
-            assert 1 not in entry.line
+        line = rig.manager._direct[0][rig.addr >> 6][rig.addr]
+        assert line.versions() == [3]
 
     def test_watermark_triggers_phase(self):
         rig = Rig(free_list_blocks=16, gc_watermark=8)

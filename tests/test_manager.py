@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import CacheConfig, MachineConfig
 from repro.errors import NotLockedError, ProtectionFault, VersionExistsError
 from repro.ostruct.free_list import FreeList
 from repro.ostruct.gc import GarbageCollector
@@ -285,6 +285,35 @@ class TestDirectAccess:
         lst = rig.manager.lists[rig.addr]
         l1 = rig.hierarchy.l1s[0]
         assert all(l1.contains(b.paddr >> 6) for b in lst)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known modelling fault: a compressed line is filled while its "
+        "root block is absent from the L1 and survives the block's re-install",
+    )
+    def test_no_direct_hit_for_version_cached_while_root_absent(self):
+        # In a direct-mapped L1 the new block's write-allocate can evict
+        # the root line the store just fetched; the version is then cached
+        # in a compressed line that no L1 holds (Section III-A).
+        rig = Rig(num_cores=1, l1=CacheConfig(size_bytes=1024, ways=1, hit_latency=4))
+        l1 = rig.hierarchy.l1s[0]
+        root = rig.addr >> 6
+        for v in range(1, 200):
+            rig.manager.store_version(0, rig.addr, v, v)
+            if not l1.contains(root):
+                break
+        else:
+            pytest.fail("no store evicted the root line")
+        # A full lookup of an older version re-installs the root line.
+        rig.manager.load_version(0, rig.addr, v - 1)
+        assert l1.contains(root)
+        before = rig.stats.direct_hits
+        rig.manager.load_version(0, rig.addr, v)
+        assert rig.stats.direct_hits == before, (
+            f"v{v} was cached while the root line was absent, yet served "
+            f"as a direct hit"
+        )
 
 
 class TestLifecycle:

@@ -11,8 +11,9 @@ network boundary and measures the result like a datastore:
 - :mod:`repro.serve.store` — a hash-sharded store of independent
   :class:`~repro.sw.ostructure.SWOStructure` keys with session-floor,
   watermark-driven version reclamation (the VBR shape).
-- :mod:`repro.serve.server` — asyncio TCP front-end: bounded thread
-  pool for the blocking ops, per-request deadlines mapped onto
+- :mod:`repro.serve.server` — asyncio TCP front-end: ops that cannot
+  wait run on the event loop, a bounded thread pool holds only the
+  waits that must park, per-request deadlines mapped onto
   :class:`~repro.sw.ostructure.SWTimeout`, admission control that sheds
   with OVERLOAD instead of queueing unboundedly, graceful drain.
 - :mod:`repro.serve.client` — pooled async client + sync wrapper.

@@ -1,8 +1,14 @@
 """Asyncio TCP server exposing the sharded O-structure store.
 
-Architecture: one asyncio event loop owns all sockets and framing; the
-blocking O-structure operations (they park on condition variables) are
-dispatched to a **bounded** thread pool via ``run_in_executor``.  Each
+Architecture: one asyncio event loop owns all sockets and framing and
+runs every operation that cannot wait, the way the paper's pipeline
+completes an O-structure op whose version is ready.  STORE-VERSION,
+UNLOCK-VERSION, sessions and STATS never wait, so they run inline.  A
+read or lock op first probes on the loop (the O-structures' ``try_*``
+twins); a hit is answered at once.  Only a miss with a non-zero deadline
+must park, like a core stalling on the address's waiter queue, and only
+then is the blocking form handed to a **bounded** thread pool via
+``run_in_executor`` (``ServerStats.parked`` counts these).  Each
 connection multiplexes: requests are read continuously, dispatched
 concurrently, and responses are matched by ``request_id`` — so one
 connection can keep many operations in flight, which is what makes the
@@ -15,8 +21,8 @@ Three disciplines the rest of the repo already enforces elsewhere:
   surfaces as an ``ERR_TIMEOUT`` response carrying the structured
   :class:`~repro.sw.ostructure.SWTimeout` context (address, wanted
   version, current latest, lock holder).  ``deadline_ms == 0`` means
-  "probe, don't wait": the ``try_*`` twins answer immediately with
-  ``ERR_VERSION_NOT_FOUND`` where the blocking form would park.
+  "probe, don't wait": a missed probe answers ``ERR_VERSION_NOT_FOUND``
+  where the blocking form would park.
 - **Shed, don't queue unboundedly.**  Admission control counts in-flight
   requests; past ``max_inflight`` the server replies ``ERR_OVERLOAD``
   from the event loop without touching the pool.  A shed request costs
@@ -24,7 +30,9 @@ Three disciplines the rest of the repo already enforces elsewhere:
   load-shedding exists for.
 - **Drain, don't drop.**  :meth:`ServeServer.drain` stops the listener,
   answers new requests with ``ERR_SHUTTING_DOWN``, waits (bounded) for
-  in-flight operations to finish, then closes connections and the pool.
+  in-flight operations to finish, then closes the store, which ends any
+  wait still parked (answered ``ERR_SHUTTING_DOWN``, its pool thread
+  freed), and closes connections and the pool.
   Session frames left open by a disconnecting client are auto-ended so
   a vanished client cannot pin the reclamation floor forever.
 """
@@ -41,7 +49,7 @@ from ..errors import (
     SimulationError,
     VersionExistsError,
 )
-from ..sw.ostructure import SWTimeout
+from ..sw.ostructure import SWClosed, SWTimeout
 from . import protocol as P
 from .store import ShardedStore
 
@@ -50,6 +58,22 @@ DEFAULT_DEADLINE_MS = 5_000
 #: Deadlines above this are clamped: a client must not pin a pool thread
 #: for minutes on a version nobody will ever store.
 MAX_DEADLINE_MS = 60_000
+#: Seconds a drain that timed out waits for the ops its store close woke
+#: to send their ``ERR_SHUTTING_DOWN`` answers.
+CLOSE_GRACE_S = 1.0
+
+#: The read/lock ops: opcode -> (selector field, takes a task id, probe
+#: method, blocking method) on :class:`ShardedStore`.  The methods are
+#: looked up by name per call, so a wrapper installed on the class sees
+#: every call.
+_READS = {
+    P.OP_LOAD_VERSION: ("version", False, "probe_version", "load_version"),
+    P.OP_LOAD_LATEST: ("cap", False, "probe_latest", "load_latest"),
+    P.OP_LOCK_LOAD_VERSION: (
+        "version", True, "probe_lock_version", "lock_load_version"
+    ),
+    P.OP_LOCK_LOAD_LATEST: ("cap", True, "probe_lock_latest", "lock_load_latest"),
+}
 
 
 class ServerStats:
@@ -59,6 +83,7 @@ class ServerStats:
         "connections_opened", "connections_closed", "requests",
         "responses_ok", "responses_error", "shed", "timeouts",
         "protocol_errors", "auto_ended_sessions", "drained_inflight",
+        "parked",
     )
 
     def __init__(self) -> None:
@@ -141,17 +166,22 @@ class ServeServer:
         return self._inflight
 
     async def drain(self) -> bool:
-        """Graceful shutdown; True if in-flight work finished in time."""
+        """Graceful shutdown; True if in-flight work finished in time.
+
+        Closes the store: a wait on it fails from then on.
+        """
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        clean = True
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.drain_timeout)
-        except asyncio.TimeoutError:
-            clean = False
+        clean = await self._wait_idle(self.drain_timeout)
         self.stats.drained_inflight = self._inflight
+        # A wait still parked (past the drain timeout, or orphaned by a
+        # client that left) would hold its pool thread, and so interpreter
+        # exit, until its own deadline: closing the store ends it now.
+        self.store.close()
+        if not clean:
+            await self._wait_idle(CLOSE_GRACE_S)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -160,6 +190,13 @@ class ServeServer:
             writer.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
         return clean
+
+    async def _wait_idle(self, timeout: float) -> bool:
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout=timeout)
+        except asyncio.TimeoutError:
+            return False
+        return True
 
     # -- connection handling -----------------------------------------------
 
@@ -295,6 +332,8 @@ class ServeServer:
             return P.ERR_BAD_REQUEST, {"error": str(exc)}
         except SWTimeout as exc:
             return P.ERR_TIMEOUT, {"error": str(exc), "context": exc.context}
+        except SWClosed as exc:
+            return P.ERR_SHUTTING_DOWN, {"error": str(exc)}
         except VersionExistsError as exc:
             return P.ERR_VERSION_EXISTS, {"error": str(exc)}
         except NotLockedError as exc:
@@ -306,11 +345,6 @@ class ServeServer:
         self, msg: P.Message, session: _Session
     ) -> tuple[int, dict[str, Any]]:
         op, body = msg.code, msg.body
-        loop = asyncio.get_running_loop()
-
-        def blocking(fn, *args):
-            return loop.run_in_executor(self._pool, fn, *args)
-
         if op == P.OP_PING:
             return P.OK, {}
         if op == P.OP_STATS:
@@ -335,60 +369,30 @@ class ServeServer:
             raise P.ProtocolError("deadline_ms must be a non-negative integer")
         timeout = min(deadline_ms, MAX_DEADLINE_MS) / 1000.0
 
-        if op == P.OP_LOAD_VERSION:
-            version = _want_int(body, "version")
-            if deadline_ms == 0:
-                hit = self.store.probe_version(key, version)
-                if hit is None:
-                    return P.ERR_VERSION_NOT_FOUND, {"key": key, "version": version}
-                return P.OK, {"version": version, "value": hit[0]}
-            value = await blocking(self.store.load_version, key, version, timeout)
-            return P.OK, {"version": version, "value": value}
-
-        if op == P.OP_LOAD_LATEST:
-            cap = _want_int(body, "cap")
-            if deadline_ms == 0:
-                hit = self.store.probe_latest(key, cap)
-                if hit is None:
-                    return P.ERR_VERSION_NOT_FOUND, {"key": key, "cap": cap}
-                return P.OK, {"version": hit[0], "value": hit[1]}
-            version, value = await blocking(self.store.load_latest, key, cap, timeout)
-            return P.OK, {"version": version, "value": value}
+        if op in _READS:
+            field, locking, probe, wait = _READS[op]
+            target = _want_int(body, field)
+            args = (key, target, _want_int(body, "task")) if locking else (key, target)
+            hit = getattr(self.store, probe)(*args)
+            if hit is None and deadline_ms > 0:
+                # Not ready: only now does the op need a thread to park on.
+                self.stats.parked += 1
+                got = await asyncio.get_running_loop().run_in_executor(
+                    self._pool, getattr(self.store, wait), *args, timeout
+                )
+                hit = (got,) if field == "version" else got
+            if hit is None:
+                return P.ERR_VERSION_NOT_FOUND, {"key": key, field: target}
+            if field == "version":
+                return P.OK, {"version": target, "value": hit[0]}
+            return P.OK, {"version": hit[0], "value": hit[1]}
 
         if op == P.OP_STORE_VERSION:
             version = _want_int(body, "version")
             if "value" not in body:
                 raise P.ProtocolError("store-version requires a 'value' field")
-            reclaimed = await blocking(
-                self.store.store_version, key, version, body["value"]
-            )
+            reclaimed = self.store.store_version(key, version, body["value"])
             return P.OK, {"version": version, "reclaimed": reclaimed}
-
-        if op == P.OP_LOCK_LOAD_VERSION:
-            version = _want_int(body, "version")
-            task_id = _want_int(body, "task")
-            if deadline_ms == 0:
-                hit = self.store.probe_lock_version(key, version, task_id)
-                if hit is None:
-                    return P.ERR_VERSION_NOT_FOUND, {"key": key, "version": version}
-                return P.OK, {"version": version, "value": hit[0]}
-            value = await blocking(
-                self.store.lock_load_version, key, version, task_id, timeout
-            )
-            return P.OK, {"version": version, "value": value}
-
-        if op == P.OP_LOCK_LOAD_LATEST:
-            cap = _want_int(body, "cap")
-            task_id = _want_int(body, "task")
-            if deadline_ms == 0:
-                hit = self.store.probe_lock_latest(key, cap, task_id)
-                if hit is None:
-                    return P.ERR_VERSION_NOT_FOUND, {"key": key, "cap": cap}
-                return P.OK, {"version": hit[0], "value": hit[1]}
-            version, value = await blocking(
-                self.store.lock_load_latest, key, cap, task_id, timeout
-            )
-            return P.OK, {"version": version, "value": value}
 
         if op == P.OP_UNLOCK_VERSION:
             version = _want_int(body, "version")
@@ -398,9 +402,7 @@ class ServeServer:
                 not isinstance(new_version, int) or isinstance(new_version, bool)
             ):
                 raise P.ProtocolError("new_version must be an integer when present")
-            await blocking(
-                self.store.unlock_version, key, version, task_id, new_version
-            )
+            self.store.unlock_version(key, version, task_id, new_version)
             return P.OK, {"version": version, "new_version": new_version}
 
         raise P.ProtocolError(f"unknown opcode {op}")

@@ -42,6 +42,8 @@ class Shard:
         self.reclaim_watermark = reclaim_watermark
         self._lock = threading.Lock()
         self._ostructs: dict[str, SWOStructure] = {}
+        #: Set by :meth:`close`; keys created after it start closed.
+        self.closed = False
         self._stores_since_reclaim = 0
         self.reclaim_passes = 0
         self.reclaimed_versions = 0
@@ -52,6 +54,8 @@ class Shard:
             o = self._ostructs.get(key)
             if o is None:
                 o = self._ostructs[key] = SWOStructure(f"shard{self.index}/{key}")
+                if self.closed:
+                    o.close()
             return o
 
     def get(self, key: str) -> SWOStructure | None:
@@ -61,6 +65,14 @@ class Shard:
     def keys(self) -> list[str]:
         with self._lock:
             return sorted(self._ostructs)
+
+    def close(self) -> None:
+        """End every wait on this shard's keys, now and later."""
+        with self._lock:
+            self.closed = True
+            structs = list(self._ostructs.values())
+        for o in structs:
+            o.close()
 
     def note_store(self) -> bool:
         """Count one store; True when the watermark trips (reset included)."""
@@ -129,11 +141,14 @@ class TaskTracker:
 class ShardedStore:
     """The service's data plane: N shards + session-driven reclamation.
 
-    All operations are **blocking** (they ride the O-structure condition
-    variables) and are meant to be called from the server's worker
-    threads; ``timeout`` seconds bound every wait.  ``deadline == 0``
-    style probes are expressed by the server through the O-structures'
-    ``try_*`` twins via :meth:`probe_version` / :meth:`probe_latest`.
+    Stores, unlocks, sessions and the ``probe_*`` methods never wait:
+    they take only short shard and key locks, so the server calls them
+    on its event loop.  The probes run the O-structures' ``try_*``
+    twins, which answer ``None`` where the blocking form would wait.
+    Only the four blocking read/lock methods wait on an O-structure
+    condition variable, for at most ``timeout`` seconds, and the server
+    calls them on a pool thread, after a missed probe.  :meth:`close`
+    ends every such wait with :class:`~repro.sw.ostructure.SWClosed`.
     """
 
     def __init__(self, num_shards: int = 8, reclaim_watermark: int = 0):
@@ -214,6 +229,11 @@ class ShardedStore:
 
     def task_end(self, task_id: int) -> bool:
         return self.tracker.end(task_id)
+
+    def close(self) -> None:
+        """End every wait, now and later (the server's shutdown)."""
+        for shard in self.shards:
+            shard.close()
 
     # -- introspection -----------------------------------------------------
 

@@ -85,12 +85,18 @@ class SWTimeout(SimulationError):
         return f"{self} [{detail}]"
 
 
+class SWClosed(SimulationError):
+    """A blocking operation's wait was ended by :meth:`SWOStructure.close`."""
+
+
 class SWOStructure:
     """One software-versioned memory location."""
 
     def __init__(self, name: str = "ostruct"):
         self.name = name
         self._changed = threading.Condition(threading.Lock())
+        #: Set by :meth:`close`; guarded by ``_changed``.
+        self._closed = False
         #: The version list and its rules; guarded by ``_changed``.
         self._table = VersionTable(name)
 
@@ -113,6 +119,7 @@ class SWOStructure:
         :class:`SWTimeout` with context gathered under the lock: the
         latest version present and the task holding the candidate the
         caller was after (exact ``version``, or the latest <= ``cap``).
+        On a closed structure the wait raises :class:`SWClosed` instead.
         """
         table = self._table
 
@@ -128,7 +135,9 @@ class SWOStructure:
         with self._changed:
             if timeout is None:
                 return take()
-            got = self._changed.wait_for(take, timeout)
+            got = self._changed.wait_for(lambda: self._closed or take(), timeout)
+            if self._closed:
+                raise SWClosed(f"{self.name}: closed while {op} waited")
             if got is not None:
                 return got
             candidate = version if cap is None else table.latest(cap)
@@ -185,6 +194,15 @@ class SWOStructure:
         """
         with self._changed:
             self._table.unlock(version, task_id, new_version)
+            self._changed.notify_all()
+
+    def close(self) -> None:
+        """End every wait, now and later, with :class:`SWClosed`.
+
+        Probes, stores and unlocks still run; only waiting stops.
+        """
+        with self._changed:
+            self._closed = True
             self._changed.notify_all()
 
     # -- non-blocking probes (differential-oracle support) --------------------

@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+import os
+import re
+import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +28,9 @@ from repro.serve.client import (
 from repro.serve.loadgen import LoadGen, ReadChecker, flood
 from repro.serve.server import ServeServer
 from repro.serve.store import Shard, ShardedStore, TaskTracker, shard_of
+from repro.sw.ostructure import SWClosed
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(coro):
@@ -198,6 +209,35 @@ class TestShardedStore:
         assert t.end(3) is True
         assert t.floor() == 5
         assert t.end(99) is False
+
+    def test_close_ends_parked_and_later_waits(self):
+        store = ShardedStore(num_shards=2)
+        store.store_version("k", 1, "x")
+        errors: list[BaseException] = []
+
+        def park():
+            try:
+                store.load_version("k", 2, timeout=60)
+            except BaseException as exc:  # noqa: BLE001 - recorded for the assert
+                errors.append(exc)
+
+        waiter = threading.Thread(target=park)
+        waiter.start()
+        time.sleep(0.05)  # parked by now; a wait begun after the close fails too
+        start = time.perf_counter()
+        store.close()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        assert time.perf_counter() - start < 5
+        assert len(errors) == 1 and isinstance(errors[0], SWClosed)
+        # Later waits fail at once, also on keys created after the close;
+        # probes, stores and unlocks still run.
+        with pytest.raises(SWClosed):
+            store.load_latest("new-key", 9, timeout=60)
+        assert store.probe_version("k", 1) == ("x",)
+        store.store_version("k", 2, "y")
+        assert store.probe_lock_latest("k", 9, 4) == (2, "y")
+        store.unlock_version("k", 2, 4)
 
     def test_stats_shape(self):
         store = ShardedStore(num_shards=2)
@@ -425,6 +465,48 @@ class TestServer:
 
         run(scenario())
 
+    def test_load_before_store_parks_once_then_answers(self):
+        async def scenario():
+            server = await _boot(threads=1)
+            try:
+                async with AsyncServeClient(*server.address, pool_size=2) as c:
+                    parked = asyncio.ensure_future(c.load_version("k", 3))
+                    while server.stats.parked == 0:
+                        await asyncio.sleep(0.005)
+                    await c.store_version("k", 3, "late")
+                    assert await parked == "late"
+                    # A ready read answers from the probe: nothing parks.
+                    assert await c.load_version("k", 3) == "late"
+                    stats = await c.stats()
+                assert stats["server"]["parked"] == 1
+                assert server.stats.parked == 1
+            finally:
+                assert await server.drain() is True
+
+        run(scenario())
+
+    def test_drain_timeout_ends_parked_waits_with_shutting_down(self):
+        async def scenario():
+            server = await _boot(threads=1, drain_timeout=0.2)
+            async with AsyncServeClient(*server.address, pool_size=1) as c:
+                parked = asyncio.ensure_future(
+                    c.request_raw(
+                        P.OP_LOAD_VERSION,
+                        {"key": "k", "version": 7, "deadline_ms": 60_000},
+                    )
+                )
+                while server.stats.parked == 0:
+                    await asyncio.sleep(0.005)
+                start = time.perf_counter()
+                assert await server.drain() is False
+                msg = await asyncio.wait_for(parked, 5)
+                assert msg.code == P.ERR_SHUTTING_DOWN
+                assert time.perf_counter() - start < 5
+                assert server.stats.drained_inflight == 1
+                assert server.inflight == 0
+
+        run(scenario())
+
     def test_disconnect_auto_ends_sessions(self):
         async def scenario():
             server = await _boot(threads=1)
@@ -546,6 +628,46 @@ class TestLoadGenEndToEnd:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "mix, watermark", [("read_heavy", 64), ("write_heavy", 24)]
+    )
+    def test_ready_ops_never_reach_the_pool(self, mix, watermark):
+        # Every read of these mixes targets a version that is already
+        # stored and unlocked, so each op is answered on the event loop.
+        async def scenario():
+            server = await _boot(
+                store=ShardedStore(num_shards=8, reclaim_watermark=watermark),
+                threads=2,
+            )
+            try:
+                gen = LoadGen(*server.address, mix, seed=0, ops=600)
+                report = await gen.run()
+            finally:
+                assert await server.drain() is True
+            assert report.ok == report.ops == 600
+            assert server.stats.parked == 0
+
+        run(scenario())
+
+    def test_lock_contention_on_two_threads_has_no_timeouts(self):
+        # Parked lock waits fill both pool threads; the unlocks that end
+        # them must not queue behind them.
+        async def scenario():
+            server = await _boot(
+                store=ShardedStore(reclaim_watermark=24), threads=2
+            )
+            try:
+                gen = LoadGen(*server.address, "lock_contention", seed=0, ops=100)
+                report = await asyncio.wait_for(gen.run(), 30)
+            finally:
+                await server.drain()
+            assert report.timeouts == 0
+            assert report.protocol_errors == 0
+            assert report.violations == []
+            assert report.ok == report.ops
+
+        run(scenario())
+
     def test_open_loop_mode_paces_arrivals(self):
         async def scenario():
             server = await _boot(threads=4)
@@ -574,3 +696,48 @@ class TestLoadGenEndToEnd:
         ids2 = [g2._alloc(w) for w in range(4) for _ in range(10)]
         assert ids1 == ids2
         assert len(set(ids1)) == len(ids1)
+
+
+# -- the serve process ------------------------------------------------------
+
+
+def test_sigint_exit_is_bounded_with_a_parked_request():
+    """``repro serve`` exits within drain_timeout + 2 s of SIGINT even
+    while a request waits on a version nobody stores."""
+    drain_timeout = ServeServer().drain_timeout
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--threads", "2",
+         "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            port = int(re.search(r"listening on [^\s:]+:(\d+)", line).group(1))
+
+            async def scenario() -> tuple[P.Message, float]:
+                async with AsyncServeClient("127.0.0.1", port, pool_size=2) as c:
+                    parked = asyncio.ensure_future(
+                        c.request_raw(
+                            P.OP_LOAD_VERSION,
+                            {"key": "k", "version": 7, "deadline_ms": 60_000},
+                        )
+                    )
+                    while (await c.stats())["server"]["parked"] == 0:
+                        await asyncio.sleep(0.01)
+                    sent = time.perf_counter()
+                    proc.send_signal(signal.SIGINT)
+                    msg = await asyncio.wait_for(parked, drain_timeout + 5)
+                    return msg, sent
+
+            msg, sent = run(scenario())
+            proc.wait(timeout=drain_timeout + 5)
+            elapsed = time.perf_counter() - sent
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        output = proc.stdout.read()
+    assert msg.code == P.ERR_SHUTTING_DOWN, msg
+    assert elapsed < drain_timeout + 2, output
+    assert proc.returncode == 0, output

@@ -80,21 +80,33 @@ class StallSignal(Exception):
     differs from ``vaddr`` only for allocation backpressure, which
     parks on :data:`ALLOC_WAIT`).  ``backpressure`` marks stalls caused
     by version-block allocation pressure rather than version state.
+
+    Stalls are routine control flow (a core parks and retries), so the
+    message is built only when it is read: ``reason`` is a
+    :meth:`str.format` template filled with ``details``.
     """
 
     def __init__(
         self,
         vaddr: int,
         reason: str,
-        *,
+        *details: object,
         wait_addr: int | None = None,
         backpressure: bool = False,
     ):
         self.vaddr = vaddr
-        self.reason = reason
+        self._reason = reason
+        self._details = details
         self.wait_addr = vaddr if wait_addr is None else wait_addr
         self.backpressure = backpressure
-        super().__init__(f"stall at 0x{vaddr:x}: {reason}")
+
+    @property
+    def reason(self) -> str:
+        details = self._details
+        return self._reason.format(*details) if details else self._reason
+
+    def __str__(self) -> str:
+        return f"stall at 0x{self.vaddr:x}: {self.reason}"
 
 
 #: Exceptions an op reports through the ``op`` event before re-raising.
@@ -307,12 +319,16 @@ class OStructureManager:
         delay = 1
         subs = self.events.notify
         if subs:
+            # None until a subscriber answers; later answers are ignored.
+            verdict = None
             for fn in subs:
-                verdict = fn(vaddr)
-                if verdict is not None and delay == 1:
-                    delay = verdict
-            if delay is DROP_WAKE:
+                answer = fn(vaddr)
+                if verdict is None:
+                    verdict = answer
+            if verdict is DROP_WAKE:
                 return
+            if verdict is not None:
+                delay = verdict
         del waiters[vaddr]
         self._schedule_wake(cbs, delay)
 
@@ -538,18 +554,23 @@ class OStructureManager:
     def _load_version(self, core_id: int, vaddr: int, version: int) -> tuple[int, Any]:
         lat, block = self._locate(core_id, vaddr, version=version)
         if block is None:
-            raise StallSignal(vaddr, f"version {version} not yet created")
+            raise StallSignal(vaddr, "version {} not yet created", version)
         if block.locked:
-            raise StallSignal(vaddr, f"version {version} locked by {block.locked_by}")
+            raise StallSignal(
+                vaddr, "version {} locked by {}", version, block.locked_by
+            )
         return lat + self._extra(), block.value
 
     def _load_latest(self, core_id: int, vaddr: int, cap: int) -> tuple[int, tuple[int, Any]]:
         lat, block = self._locate(core_id, vaddr, cap=cap)
         if block is None:
-            raise StallSignal(vaddr, f"no version <= {cap} created yet")
+            raise StallSignal(vaddr, "no version <= {} created yet", cap)
         if block.locked:
             raise StallSignal(
-                vaddr, f"latest version {block.version} locked by {block.locked_by}"
+                vaddr,
+                "latest version {} locked by {}",
+                block.version,
+                block.locked_by,
             )
         return lat + self._extra(), (block.version, block.value)
 
@@ -630,9 +651,11 @@ class OStructureManager:
     ) -> tuple[int, Any]:
         lat, block = self._locate(core_id, vaddr, version=version)
         if block is None:
-            raise StallSignal(vaddr, f"version {version} not yet created")
+            raise StallSignal(vaddr, "version {} not yet created", version)
         if block.locked:
-            raise StallSignal(vaddr, f"version {version} locked by {block.locked_by}")
+            raise StallSignal(
+                vaddr, "version {} locked by {}", version, block.locked_by
+            )
         return lat + self._lock(core_id, vaddr, block, task_id) + self._extra(), block.value
 
     def _lock_load_latest(
@@ -640,10 +663,13 @@ class OStructureManager:
     ) -> tuple[int, tuple[int, Any]]:
         lat, block = self._locate(core_id, vaddr, cap=cap)
         if block is None:
-            raise StallSignal(vaddr, f"no version <= {cap} created yet")
+            raise StallSignal(vaddr, "no version <= {} created yet", cap)
         if block.locked:
             raise StallSignal(
-                vaddr, f"latest version {block.version} locked by {block.locked_by}"
+                vaddr,
+                "latest version {} locked by {}",
+                block.version,
+                block.locked_by,
             )
         lat += self._lock(core_id, vaddr, block, task_id) + self._extra()
         return lat, (block.version, block.value)

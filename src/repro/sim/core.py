@@ -207,14 +207,25 @@ class Core:
             self._finish_task(stop.value)
             return
         run_block = self._run_block
-        if run_block is not None and op[0] in FUSIBLE:
-            cd = self._fuse_cooldown
-            if cd:
-                self._fuse_cooldown = cd - 1
+        if run_block is not None:
+            if op[0] in FUSIBLE:
+                enter = not self._fuse_cooldown
+                if not enter:
+                    self._fuse_cooldown -= 1
             else:
+                # A versioned op enters only when the kernel is idle (the
+                # 1-core steady state): on a busy machine the first
+                # advance would be refused and the entry wasted.
+                sim = self.sim
+                enter = (
+                    op[0] in isa.VERSIONED_OPS
+                    and sim._inline
+                    and not (sim._count or sim._over or sim._solo_fn is not None)
+                )
+            if enter:
                 # Fused fast path: drain the run of non-stalling ops
                 # starting at ``op`` in this one engine event
-                # (repro.sim.fuse).  A non-fusible op comes back
+                # (repro.sim.fuse).  A lock or task op comes back
                 # undispatched and takes the ordinary path below.
                 op = run_block(gen, op)
                 if op is None:

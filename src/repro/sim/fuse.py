@@ -3,12 +3,21 @@
 The per-op execution pipeline costs one full engine round trip per
 micro-op: ``schedule`` the core's resume, pop it from the wheel, re-enter
 ``Core._advance``, ``gen.send`` one op, dispatch, ``schedule`` again.
-For the dominant op classes — ``compute`` and conventional ``load`` /
-``store`` — nothing in that round trip can observably differ from just
-*keeping going*: these ops never stall, never wake a waiter, and never
-touch O-structure state.  :func:`run_block` therefore drains a run of
-them in a single engine event, advancing the clock inline between ops
-via :meth:`~repro.sim.engine.Simulator.try_advance`.
+For every op that does not stall, nothing in that round trip can
+observably differ from just *keeping going*.  :func:`run_block`
+therefore drains a run of such ops in a single engine event, advancing
+the clock inline between ops via
+:meth:`~repro.sim.engine.Simulator.try_advance`.  It retires two kinds:
+
+- ``compute`` and conventional ``load`` / ``store``, through an inlined
+  data plane (below);
+- the six versioned ops (``isa.VERSIONED_OPS``), through
+  ``Core._dispatch``, the one copy of their semantics.  As in the
+  paper (§II-A), a versioned op whose version is ready completes like an
+  ordinary access; one that stalls goes through ``Core._park`` exactly
+  as on the per-op path, and the block ends there.
+
+Lock and task ops are handed back to ``Core._execute`` undispatched.
 
 Byte-identity is by construction, not by approximation:
 
@@ -18,12 +27,15 @@ Byte-identity is by construction, not by approximation:
   own resume with nothing in between.  Whenever another core, a GC
   phase, a fault event or a watchdog tick is due, the interpreter falls
   back to the ordinary ``schedule``-a-resume tail and the block ends.
+  That includes every event a versioned op schedules itself: a waiter's
+  wake-up, a GC phase, and the delay-0 checkpoint and fault markers that
+  ``tick`` subscribers schedule.
 - every op is dispatched through the same state mutations in the same
   order: stats counters, page-table checks, functional memory, hierarchy
-  access, ``retire`` subscribers.  Versioned / lock / task ops are
-  never fused — they are handed back to ``Core._execute`` untouched, so
-  stalls, aborts, fault injection, the sanitizer and checkpoint markers
-  all observe them per-op exactly as before.
+  access, the manager, ``retire`` subscribers.  The block's batched
+  ``SimStats`` counters are flushed before each versioned op, so the
+  ``tick`` / ``op`` / ``notify`` subscribers it fires (the sanitizer,
+  metrics, faults, checkpoints) see exact counts.
 - conventional accesses that hit in the L1 are charged through an
   inlined copy of ``access``'s hit branch (lookup + recency bump + hit
   counter + exclusive acquisition on writes).  A missed ``lookup``
@@ -42,6 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..ostruct import isa
+from ..ostruct.manager import StallSignal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Core
@@ -49,21 +62,26 @@ if TYPE_CHECKING:  # pragma: no cover
 _COMPUTE = isa.COMPUTE
 _LOAD = isa.LOAD
 _STORE = isa.STORE
+_VERSIONED = isa.VERSIONED_OPS
 
-#: The op kinds the interpreter may retire inline: never stall, never
-#: wake a waiter, never touch O-structure or lock state.  The core
-#: consults this before entering the interpreter, so a lone versioned op
-#: between two stalls pays nothing for the fusion machinery.
+#: The conventional op kinds: never stall, never wake a waiter, never
+#: touch O-structure or lock state.  The core enters the interpreter at
+#: one of these under the ``COOLDOWN`` backoff.  It enters at a
+#: versioned op only when the kernel is idle (``Core._advance``), so on
+#: a busy multi-core machine a versioned op between two stalls pays
+#: nothing for the fusion machinery.  Inside a block, both kinds retire.
 FUSIBLE = frozenset({_COMPUTE, _LOAD, _STORE})
 
-#: Fusible entries a core skips after a block that fused nothing.  On a
-#: busy multi-core machine the neighbours' events land inside almost
+#: ``FUSIBLE`` entries a core skips after a block that fused nothing.  On
+#: a busy multi-core machine the neighbours' events land inside almost
 #: every op latency, so advances are refused and the interpreter's
 #: entry/exit cost is pure overhead; the cooldown backs a congested core
 #: off to the per-op path and re-probes every ``COOLDOWN + 1``-th
-#: opportunity.  Purely a host-time heuristic: fusing or not fusing any
-#: given op cannot change simulated behaviour, and the cooldown state
-#: itself is a deterministic function of the (deterministic) schedule.
+#: opportunity.  Entries at a versioned op need no cooldown: the idle
+#: kernel they require is what lets the first advance be granted.
+#: Purely a host-time heuristic: fusing or not fusing any given op
+#: cannot change simulated behaviour, and the cooldown state itself is a
+#: deterministic function of the (deterministic) schedule.
 COOLDOWN = 31
 
 
@@ -73,17 +91,17 @@ class FuseStats:
     __slots__ = ("blocks", "ops", "fused_ops", "event_breaks", "op_breaks")
 
     def __init__(self) -> None:
-        #: Fused blocks executed (interpreter entries; the core only
-        #: enters it when the op stream is at a fusible op).
+        #: Fused blocks executed (interpreter entries).
         self.blocks = 0
-        #: Fusible ops retired by the interpreter.
+        #: Ops retired by the interpreter, conventional and versioned.
         self.ops = 0
         #: Granted inline clock advances — each one is a schedule/pop
         #: engine round trip that was actually elided.
         self.fused_ops = 0
         #: Blocks ended because another pending event had to fire first.
         self.event_breaks = 0
-        #: Blocks ended by a non-fusible (versioned / lock / task) op.
+        #: Blocks ended at an op the interpreter does not retire: a lock
+        #: or task op, or a versioned op that stalled.
         self.op_breaks = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -98,18 +116,18 @@ def make_interpreter(core: "Core"):
 
     The interpreter is entered once per engine event on the core's
     advance path, so its prologue is on the critical path even for runs
-    that fuse nothing (a lone versioned op between two stalls).  All
-    machine-lifetime-stable state — caches, directory, stats objects,
-    config scalars, the page table, functional memory — is therefore
-    captured in closure cells *once*, at machine build time; a call
-    binds only what can legitimately differ per block (the ``retire``
-    subscribers and the current task id).
+    that fuse nothing.  All machine-lifetime-stable state — caches,
+    directory, stats objects, config scalars, the page table, functional
+    memory, the core's dispatch and park methods — is therefore captured
+    in closure cells *once*, at machine build time; a call binds only
+    what can legitimately differ per block (the ``retire`` subscribers
+    and the current task id).
 
-    The returned ``run_block(gen, send_value)`` drives ``gen`` through
+    The returned ``run_block(gen, first_op)`` drives ``gen`` through
     one fused block and returns the op that ended it: ``None`` when the
-    continuation is already arranged (resume scheduled, or the task
-    finished), else the pending non-fusible op — not yet dispatched —
-    for the caller's ordinary per-op path.
+    continuation is already arranged (resume scheduled, core parked on a
+    waiter queue, or the task finished), else the pending lock or task
+    op — not yet dispatched — for the caller's ordinary per-op path.
     """
     m = core.machine
     events = m.events
@@ -129,20 +147,25 @@ def make_interpreter(core: "Core"):
     try_advance = sim.try_advance
     access = hierarchy.access
     schedule_resume = core._schedule_resume
+    dispatch = core._dispatch
+    park = core._park
 
     def run_block(
         gen: Generator[tuple, Any, Any], first_op: tuple
     ) -> tuple | None:
-        # Stable for the whole block: subscribers can only be
-        # (de)attached by an event, and an unbroken fused run fires none.
+        # Subscribers can only be (de)attached by an event or from inside
+        # a versioned op, so these are re-read after each versioned op.
         retire = events.retire
         tid = core.current.task_id if retire else 0  # type: ignore[union-attr]
         send = gen.send
         op = first_op
-        # Counter deltas batched in locals and flushed once per block:
-        # nothing can observe the machine mid-block (no event fires
-        # inside an unbroken run, and no hierarchy/trace callback reads
-        # these counters), so one RMW per block replaces one per op.
+        # Counter deltas batched in locals.  The SimStats ones are
+        # flushed before each versioned op, whose subscribers may read
+        # them, and at block end; nothing else can observe the machine
+        # mid-block (no event fires inside an unbroken run).
+        # ``retired_ops`` and ``busy_cycles`` are read only by events
+        # (watchdog tick, checkpoint marker) and at run end, so they are
+        # flushed once per block.
         n_ops = 0
         d_compute = 0
         d_loads = 0
@@ -189,6 +212,35 @@ def make_interpreter(core: "Core"):
                     else:
                         latency = access(cid, addr, write=True)
                     result = None
+                elif kind in _VERSIONED:
+                    # Core._execute's versioned path, minus the retry
+                    # bookkeeping (a block only issues fresh ops).
+                    if d_compute:
+                        stats.compute_ops += d_compute
+                        d_compute = 0
+                    if d_loads:
+                        stats.loads += d_loads
+                        d_loads = 0
+                    if d_stores:
+                        stats.stores += d_stores
+                        d_stores = 0
+                    if d_hits:
+                        stats.l1_hits += d_hits
+                        d_hits = 0
+                    stats.versioned_ops += 1
+                    try:
+                        latency, result = dispatch(op)
+                    except StallSignal as sig:
+                        retire = events.retire
+                        if retire:
+                            tid = core._current_tid()
+                            for fn in retire:
+                                fn(cid, tid, op, 0, True)
+                        park(op, sig, False)
+                        fstats.op_breaks += 1
+                        return None
+                    retire = events.retire
+                    tid = core.current.task_id if retire else 0  # type: ignore[union-attr]
                 else:
                     fstats.op_breaks += 1
                     return op

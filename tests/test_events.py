@@ -187,6 +187,17 @@ class TestEmitPoints:
             assert tasks[1].result == 42
         assert served[1] - served[0] == 39
 
+    def test_notify_first_answer_decides_even_when_it_is_one(self):
+        # A first answer of 1 (deliver on time) used to be overwritten by
+        # any later answer, so this DROP_WAKE left the consumer parked.
+        m, cell, asked, tasks = self._parked_consumer(1)
+        later = []
+        m.events.subscribe("notify", lambda vaddr: later.append(vaddr) or DROP_WAKE)
+        m.run()
+        assert asked == later == [cell.addr]  # every subscriber is asked
+        assert m.manager.waiter_count(cell.addr) == 0
+        assert tasks[1].result == 42
+
     def test_notify_drop_leaves_waiters_parked_until_a_kick(self):
         m, cell, asked, tasks = self._parked_consumer(DROP_WAKE)
         with pytest.raises(DeadlockError):

@@ -8,7 +8,7 @@ from repro.config import CacheConfig, MachineConfig
 from repro.errors import NotLockedError, ProtectionFault, VersionExistsError
 from repro.ostruct.free_list import FreeList
 from repro.ostruct.gc import GarbageCollector
-from repro.ostruct.manager import OStructureManager, StallSignal
+from repro.ostruct.manager import ALLOC_WAIT, OStructureManager, StallSignal
 from repro.ostruct.page_table import PageTable
 from repro.runtime.allocator import VERSION_BLOCK_BASE, SimHeap
 from repro.runtime.task import TaskTracker
@@ -211,6 +211,50 @@ class TestWaiters:
         rig.manager.add_waiter(rig.addr, lambda: None)
         report = rig.manager.blocked_waiter_report()
         assert len(report) == 1 and "1 waiter" in report[0]
+
+
+class TestStallMessage:
+    """The stall text is built only when read, and reads as it always has."""
+
+    @staticmethod
+    def _stall(call) -> StallSignal:
+        with pytest.raises(StallSignal) as info:
+            call()
+        return info.value
+
+    def test_data_stall_text(self, rig):
+        m, a = rig.manager, rig.addr
+        assert str(self._stall(lambda: m.load_version(0, a, 2))) == (
+            f"stall at 0x{a:x}: version 2 not yet created"
+        )
+        assert str(self._stall(lambda: m.lock_load_latest(0, a, 4, 6))) == (
+            f"stall at 0x{a:x}: no version <= 4 created yet"
+        )
+        m.store_version(0, a, 1, 10)
+        m.lock_load_version(0, a, 1, task_id=5)
+        exact = self._stall(lambda: m.load_version(1, a, 1))
+        latest = self._stall(lambda: m.load_latest(1, a, 3))
+        # The locker is the one at the stall, not at the read.
+        m.unlock_version(0, a, 1, task_id=5)
+        m.lock_load_version(0, a, 1, task_id=8)
+        assert str(exact) == f"stall at 0x{a:x}: version 1 locked by 5"
+        assert str(latest) == f"stall at 0x{a:x}: latest version 1 locked by 5"
+        assert exact.reason == "version 1 locked by 5"
+        assert exact.vaddr == exact.wait_addr == a and not exact.backpressure
+
+    def test_backpressure_stall_text(self, rig):
+        m, a = rig.manager, rig.addr
+        rig.tracker.begin(1)  # can still read version 1 once it is shadowed
+        m.store_version(0, a, 1, 10)
+        m.store_version(0, a, 2, 20)
+        rig.free_list.set_refill_budget(0)
+        rig.free_list.drain()
+        sig = self._stall(lambda: m.store_version(0, a, 3, 30))
+        assert sig.wait_addr == ALLOC_WAIT and sig.backpressure
+        assert str(sig) == (
+            f"stall at 0x{a:x}: version-block free list exhausted; "
+            "stalling for reclamation"
+        )
 
 
 class TestDirectAccess:
